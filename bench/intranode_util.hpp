@@ -1,5 +1,5 @@
-// Measurement helpers for the intra-node transport ablation, shared by the
-// standalone `ablation_intranode` binary and the `run_all` registration.
+// Measurement helpers for the intra-node transport measurements of
+// `run_all` (`ablation_intranode`, and fig9's shm RC-QP series).
 #pragma once
 
 #include <cstdint>

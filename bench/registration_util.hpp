@@ -1,6 +1,5 @@
-// Measurement helpers for the on-demand registration ablation, shared by
-// the standalone `ablation_registration` binary and the `run_all`
-// registration (mirrors intranode_util.hpp).
+// Measurement helpers for the on-demand registration ablation
+// (`run_all --bench ablation_registration`).
 #pragma once
 
 #include <cstdint>

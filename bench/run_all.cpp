@@ -1,13 +1,16 @@
-// run_all: single driver for every figure/table/ablation bench, emitting
-// machine-readable results.
+// run_all: the one driver for every figure/table/ablation bench of the
+// reproduction (paper Figs 1 and 5-9, Table I, ablations A1-A10).
 //
-// Each registered bench runs behind a common interface and writes one
+// Each registered bench runs behind a common interface, writes one
 // `BENCH_<name>.json` ("odcm-bench" schema v1, see
-// src/telemetry/bench_report.hpp) into --out. Two parameter sets per bench:
+// src/telemetry/bench_report.hpp) into --out, and prints the same results
+// to stdout as aligned tables (`BenchReport::print_tables`). Two parameter
+// sets per bench:
 //
 //   --quick   CI-sized (PE counts <= 256, trimmed sweeps; seconds per bench)
-//   --full    paper-scale (the same shapes the standalone fig*/table* /
-//             ablation* binaries print)
+//   --full    paper-scale (the shapes EXPERIMENTS.md reports; some benches
+//             add detail series/columns only at this scale, which keeps
+//             their --quick JSON stable across such additions)
 //
 // The simulation is deterministic: the same mode + seed produce
 // byte-identical JSON, which CI relies on (ctest label `perf-smoke`).
@@ -18,6 +21,7 @@
 //
 //   run_all --quick                        # all benches, CI parameters
 //   run_all --quick --bench fig6_pt2pt     # one bench
+//   run_all --full --bench fig5_startup    # one paper figure, paper scale
 //   run_all --full --out results/          # paper-scale sweep
 //   run_all --list                         # registry
 //
@@ -33,6 +37,7 @@
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -76,7 +81,7 @@ using Kernel =
     std::function<sim::Task<>(shmem::ShmemPe&, apps::KernelResult&)>;
 
 // ---------------------------------------------------------------------------
-// Shared measurement plumbing (mirrors the standalone fig* binaries).
+// Shared measurement plumbing.
 
 shmem::ShmemJobConfig seeded_job(const BenchContext& ctx, std::uint32_t pes,
                                  std::uint32_t ppn,
@@ -89,23 +94,38 @@ shmem::ShmemJobConfig seeded_job(const BenchContext& ctx, std::uint32_t pes,
   return config;
 }
 
+/// Hello World (start_pes + finalize) on `config`.
+JobRun hello_job(const shmem::ShmemJobConfig& config,
+                 apps::HelloParams params = {}) {
+  return run_job(config, [params](shmem::ShmemPe& pe) -> sim::Task<> {
+    co_await apps::hello_pe(pe, params);
+  });
+}
+
 struct HelloSample {
   double start_pes_s;
   double wall_s;
+  /// start_pes breakdown as Fig 5(b) accounts it (mean seconds per PE).
+  std::vector<std::pair<std::string, double>> breakdown;
 };
 
 HelloSample hello_sample(
     const BenchContext& ctx, std::uint32_t pes, core::ConduitConfig conduit,
     shmem::RegistrationMode reg = shmem::RegistrationMode::kEager) {
-  std::unique_ptr<shmem::ShmemJob> job;
   shmem::ShmemJobConfig config = seeded_job(ctx, pes, 16, conduit);
   config.shmem.registration = reg;
-  double wall = run_job(config,
-                        [](shmem::ShmemPe& pe) -> sim::Task<> {
-                          co_await apps::hello_pe(pe, apps::HelloParams{});
-                        },
-                        &job);
-  return {mean_phase_s(*job, "start_pes_total"), wall};
+  JobRun run = hello_job(config);
+  shmem::ShmemJob& job = *run.job;
+  return {mean_phase_s(job, "start_pes_total"),
+          run.wall_s,
+          {{"conn_setup_s", mean_phase_s(job, "connection_setup")},
+           {"pmi_exchange_s",
+            mean_phase_s(job, "pmi_exchange") + mean_phase_s(job, "pmi_wait")},
+           {"mem_reg_s", mean_phase_s(job, "memory_registration")},
+           {"shmem_setup_s", mean_phase_s(job, "shared_memory_setup")},
+           {"other_s", mean_phase_s(job, "init_other") +
+                           mean_phase_s(job, "init_barrier")},
+           {"total_s", mean_phase_s(job, "start_pes_total")}}};
 }
 
 /// Mean one-way latency (us) of `op` on PE 0 of a 2-PE / 2-node job.
@@ -161,33 +181,38 @@ double collective_loop(const BenchContext& ctx, std::uint32_t pes,
   return latency_us;
 }
 
-/// Run `kernel` on every PE of a proposed-design job; returns the wall
-/// seconds and leaves the job in `out` for stat queries.
-double kernel_job(const BenchContext& ctx, std::uint32_t pes,
+/// Run `kernel` on every PE of an 8-PPN job with a 2 MiB heap; the result
+/// keeps the job for stat queries.
+JobRun kernel_job(const BenchContext& ctx, std::uint32_t pes,
                   core::ConduitConfig conduit, const Kernel& kernel,
-                  std::unique_ptr<sim::Engine>* out_engine,
-                  std::unique_ptr<shmem::ShmemJob>* out_job,
-                  bool* verified = nullptr) {
-  auto engine = std::make_unique<sim::Engine>();
-  auto job = std::make_unique<shmem::ShmemJob>(
-      *engine, seeded_job(ctx, pes, 8, conduit, 2ULL << 20));
+                  bool* verified = nullptr, std::uint32_t ppn = 8) {
   std::vector<apps::KernelResult> results(pes);
-  sim::Time wall = job->run([&](shmem::ShmemPe& pe) -> sim::Task<> {
-    co_await pe.start_pes();
-    co_await kernel(pe, results[pe.rank()]);
-    co_await pe.finalize();
-  });
+  JobRun run = run_job(seeded_job(ctx, pes, ppn, conduit, 2ULL << 20),
+                       [&](shmem::ShmemPe& pe) -> sim::Task<> {
+                         co_await pe.start_pes();
+                         co_await kernel(pe, results[pe.rank()]);
+                         co_await pe.finalize();
+                       });
   if (verified != nullptr) {
     *verified = true;
     for (const auto& r : results) *verified = *verified && r.verified;
   }
-  *out_engine = std::move(engine);
-  *out_job = std::move(job);
-  return sim::to_seconds(wall);
+  return run;
+}
+
+/// Wrap one app entry point with its parameters as a zoo kernel.
+template <typename Params>
+Kernel bind_kernel(sim::Task<> (*entry)(shmem::ShmemPe&, Params,
+                                        apps::KernelResult&),
+                   Params params) {
+  return [entry, params](shmem::ShmemPe& pe,
+                         apps::KernelResult& out) -> sim::Task<> {
+    co_await entry(pe, params, out);
+  };
 }
 
 /// The reduced-size NAS/Heat kernel zoo the resource benches share.
-/// `scale` trims iteration counts for quick mode.
+/// `quick` trims sizes and iteration counts.
 std::vector<std::pair<std::string, Kernel>> kernel_zoo(bool quick,
                                                        bool all_apps) {
   apps::Heat2dParams heat;
@@ -210,33 +235,56 @@ std::vector<std::pair<std::string, Kernel>> kernel_zoo(bool quick,
   sp.face_elems = quick ? 16 : 32;
   sp.verify_halos = false;
 
-  std::vector<std::pair<std::string, Kernel>> zoo;
-  zoo.emplace_back(
-      "2DHeat",
-      [heat](shmem::ShmemPe& pe, apps::KernelResult& out) -> sim::Task<> {
-        co_await apps::heat2d_pe(pe, heat, out);
-      });
-  zoo.emplace_back(
-      "EP", [ep](shmem::ShmemPe& pe, apps::KernelResult& out) -> sim::Task<> {
-        co_await apps::ep_pe(pe, ep, out);
-      });
-  zoo.emplace_back(
-      "MG", [mg](shmem::ShmemPe& pe, apps::KernelResult& out) -> sim::Task<> {
-        co_await apps::mg_pe(pe, mg, out);
-      });
+  std::vector<std::pair<std::string, Kernel>> zoo = {
+      {"2DHeat", bind_kernel(&apps::heat2d_pe, heat)},
+      {"EP", bind_kernel(&apps::ep_pe, ep)},
+      {"MG", bind_kernel(&apps::mg_pe, mg)}};
   if (all_apps) {
-    zoo.emplace_back(
-        "BT",
-        [bt](shmem::ShmemPe& pe, apps::KernelResult& out) -> sim::Task<> {
-          co_await apps::grid_kernel_pe(pe, bt, out);
-        });
-    zoo.emplace_back(
-        "SP",
-        [sp](shmem::ShmemPe& pe, apps::KernelResult& out) -> sim::Task<> {
-          co_await apps::grid_kernel_pe(pe, sp, out);
-        });
+    zoo.emplace_back("BT", bind_kernel(&apps::grid_kernel_pe, bt));
+    zoo.emplace_back("SP", bind_kernel(&apps::grid_kernel_pe, sp));
   }
   return zoo;
+}
+
+/// The 2DHeat shape of Table I (96^2 grid, 10 iterations).
+apps::Heat2dParams table1_heat() {
+  apps::Heat2dParams heat;
+  heat.global_n = 96;
+  heat.iters = 10;
+  heat.verify = false;
+  return heat;
+}
+
+/// Fig 8a at paper scale: the class-B-like NAS configurations.
+std::vector<std::pair<std::string, Kernel>> nas_paper_kernels() {
+  apps::EpParams ep;
+  ep.log2_pairs = 20;
+  ep.compute_ns_per_pair = 60000.0 * 256 / (1 << 20);  // ~class-B scale
+  return {{"BT", bind_kernel(&apps::grid_kernel_pe, apps::bt_params())},
+          {"EP", bind_kernel(&apps::ep_pe, ep)},
+          {"MG", bind_kernel(&apps::mg_pe, apps::mg_params())},
+          {"SP", bind_kernel(&apps::grid_kernel_pe, apps::sp_params())}};
+}
+
+/// Table I at paper scale: the zoo with every app's own verification on
+/// (it is part of each app's communication pattern), 2DHeat at 96^2.
+std::vector<std::pair<std::string, Kernel>> peer_count_kernels() {
+  apps::GridKernelParams bt = apps::bt_params();
+  bt.iters = 8;
+  bt.face_elems = 64;
+  apps::EpParams ep;
+  ep.log2_pairs = 14;
+  apps::MgParams mg;
+  mg.vcycles = 4;
+  mg.finest_face_elems = 64;
+  apps::GridKernelParams sp = apps::sp_params();
+  sp.iters = 8;
+  sp.face_elems = 32;
+  return {{"BT", bind_kernel(&apps::grid_kernel_pe, bt)},
+          {"EP", bind_kernel(&apps::ep_pe, ep)},
+          {"MG", bind_kernel(&apps::mg_pe, mg)},
+          {"SP", bind_kernel(&apps::grid_kernel_pe, sp)},
+          {"2DHeat", bind_kernel(&apps::heat2d_pe, table1_heat())}};
 }
 
 /// Least-squares linear fit through (x, y), evaluated at `at`.
@@ -286,26 +334,22 @@ void bench_fig1(const BenchContext& ctx, telemetry::BenchReport& report) {
       if (on_demand) {
         config.shmem.registration = shmem::RegistrationMode::kOnDemand;
       }
-      std::unique_ptr<shmem::ShmemJob> job;
-      (void)run_job(config,
-                    [](shmem::ShmemPe& pe) -> sim::Task<> {
-                      co_await apps::hello_pe(pe, apps::HelloParams{});
-                    },
-                    &job);
-      double reg_s = mean_phase_s(*job, "memory_registration");
+      JobRun run = hello_job(config);
+      shmem::ShmemJob& job = *run.job;
+      double reg_s = mean_phase_s(job, "memory_registration");
       (on_demand ? ondemand_reg_s : eager_reg_s) = reg_s;
       report.add_row(
           on_demand ? "breakdown_ondemand_reg" : "breakdown", pes,
-          {{"conn_setup_s", mean_phase_s(*job, "connection_setup") +
-                                mean_phase_s(*job, "init_barrier") +
-                                mean_phase_s(*job, "segment_exchange")},
-           {"pmi_exchange_s", mean_phase_s(*job, "pmi_exchange") +
-                                  mean_phase_s(*job, "pmi_wait")},
+          {{"conn_setup_s", mean_phase_s(job, "connection_setup") +
+                                mean_phase_s(job, "init_barrier") +
+                                mean_phase_s(job, "segment_exchange")},
+           {"pmi_exchange_s", mean_phase_s(job, "pmi_exchange") +
+                                  mean_phase_s(job, "pmi_wait")},
            {"mem_reg_s", reg_s},
-           {"lazy_reg_s", mean_phase_s(*job, "lazy_registration")},
-           {"shmem_setup_s", mean_phase_s(*job, "shared_memory_setup")},
-           {"other_s", mean_phase_s(*job, "init_other")},
-           {"total_s", mean_phase_s(*job, "start_pes_total")}});
+           {"lazy_reg_s", mean_phase_s(job, "lazy_registration")},
+           {"shmem_setup_s", mean_phase_s(job, "shared_memory_setup")},
+           {"other_s", mean_phase_s(job, "init_other")},
+           {"total_s", mean_phase_s(job, "start_pes_total")}});
     }
   }
   // Acceptance anchor: on-demand registration removes the startup
@@ -313,6 +357,9 @@ void bench_fig1(const BenchContext& ctx, telemetry::BenchReport& report) {
   report.set_metric("mem_reg_reduction_pct_at_max_pes",
                     100.0 * (1.0 - ondemand_reg_s /
                                        std::max(eager_reg_s, 1e-12)));
+  report.set_decimals(3, {"conn_setup_s", "pmi_exchange_s", "mem_reg_s",
+                          "lazy_reg_s", "shmem_setup_s", "other_s",
+                          "total_s"});
 }
 
 void bench_fig5(const BenchContext& ctx, telemetry::BenchReport& report) {
@@ -345,7 +392,20 @@ void bench_fig5(const BenchContext& ctx, telemetry::BenchReport& report) {
                     {"hello_proposed_s", proposed.wall_s},
                     {"hello_odreg_s", odreg.wall_s},
                     {"hello_speedup", hello_ratio}});
+    // Fig 5(b): where the proposed design's (flat) start_pes time goes.
+    if (!ctx.quick) {
+      report.add_row("breakdown_proposed", pes, proposed.breakdown);
+    }
   }
+  report.set_decimals(2, {"start_current_s", "start_proposed_s",
+                          "start_odreg_s", "hello_current_s",
+                          "hello_proposed_s", "hello_odreg_s"});
+  report.set_decimals(1, {"start_speedup", "start_odreg_speedup",
+                          "hello_speedup", "start_speedup_at_max_pes",
+                          "hello_speedup_at_max_pes",
+                          "start_odreg_speedup_at_max_pes"});
+  report.set_decimals(4, {"conn_setup_s", "pmi_exchange_s"});
+  report.set_decimals(3, {"mem_reg_s", "shmem_setup_s", "other_s", "total_s"});
   // Paper anchors: ~3x / ~8.3x at the top of the sweep.
   report.set_metric("start_speedup_at_max_pes", start_ratio);
   report.set_metric("hello_speedup_at_max_pes", hello_ratio);
@@ -459,6 +519,8 @@ void bench_fig6(const BenchContext& ctx, telemetry::BenchReport& report) {
                     {"diff_pct", 100.0 * (dyn - stat) / stat}},
                    name);
   }
+  report.set_decimals(2, {"static_us", "ondemand_us", "rendezvous_us",
+                          "diff_pct"});
 }
 
 void bench_fig7(const BenchContext& ctx, telemetry::BenchReport& report) {
@@ -541,23 +603,26 @@ void bench_fig7(const BenchContext& ctx, telemetry::BenchReport& report) {
                     {"ondemand_us", dyn},
                     {"diff_pct", 100.0 * (dyn - stat) / stat}});
   }
+  report.set_decimals(1, {"static_us", "ondemand_us"});
+  report.set_decimals(2, {"diff_pct"});
 }
 
 void bench_fig8a(const BenchContext& ctx, telemetry::BenchReport& report) {
   std::uint32_t pes = ctx.quick ? 64 : 256;
   report.set_config("pes", static_cast<std::int64_t>(pes));
   report.set_config("ppn", std::int64_t{8});
-  auto zoo = kernel_zoo(ctx.quick, /*all_apps=*/!ctx.quick);
+  auto zoo = ctx.quick ? kernel_zoo(/*quick=*/true, /*all_apps=*/false)
+                       : nas_paper_kernels();
   for (std::size_t i = 0; i < zoo.size(); ++i) {
     const auto& [name, kernel] = zoo[i];
-    std::unique_ptr<sim::Engine> engine;
-    std::unique_ptr<shmem::ShmemJob> job;
     bool ok_static = false;
     bool ok_dynamic = false;
-    double stat = kernel_job(ctx, pes, core::current_design(), kernel,
-                             &engine, &job, &ok_static);
-    double dyn = kernel_job(ctx, pes, core::proposed_design(), kernel,
-                            &engine, &job, &ok_dynamic);
+    double stat =
+        kernel_job(ctx, pes, core::current_design(), kernel, &ok_static)
+            .wall_s;
+    double dyn =
+        kernel_job(ctx, pes, core::proposed_design(), kernel, &ok_dynamic)
+            .wall_s;
     report.add_row("wall", static_cast<double>(i),
                    {{"static_s", stat},
                     {"ondemand_s", dyn},
@@ -565,6 +630,8 @@ void bench_fig8a(const BenchContext& ctx, telemetry::BenchReport& report) {
                     {"verified", (ok_static && ok_dynamic) ? 1.0 : 0.0}},
                    name);
   }
+  report.set_decimals(2, {"static_s", "ondemand_s"});
+  report.set_decimals(1, {"improvement_pct"});
 }
 
 void bench_fig8b(const BenchContext& ctx, telemetry::BenchReport& report) {
@@ -606,6 +673,8 @@ void bench_fig8b(const BenchContext& ctx, telemetry::BenchReport& report) {
                     {"diff_pct", 100.0 * (stat - dyn) / stat},
                     {"verified", (ok_static && ok_dynamic) ? 1.0 : 0.0}});
   }
+  report.set_decimals(2, {"static_s", "ondemand_s"});
+  report.set_decimals(1, {"diff_pct"});
 }
 
 void bench_fig9(const BenchContext& ctx, telemetry::BenchReport& report) {
@@ -620,11 +689,9 @@ void bench_fig9(const BenchContext& ctx, telemetry::BenchReport& report) {
     const auto& [name, kernel] = zoo[i];
     std::vector<double> endpoints;
     for (double pes : sizes) {
-      std::unique_ptr<sim::Engine> engine;
-      std::unique_ptr<shmem::ShmemJob> job;
-      (void)kernel_job(ctx, static_cast<std::uint32_t>(pes),
-                       core::proposed_design(), kernel, &engine, &job);
-      endpoints.push_back(mean_endpoints(*job));
+      JobRun run = kernel_job(ctx, static_cast<std::uint32_t>(pes),
+                              core::proposed_design(), kernel);
+      endpoints.push_back(mean_endpoints(*run.job));
     }
     double max_pes = sizes.back();
     // The static design creates N+1 endpoints per process.
@@ -641,31 +708,120 @@ void bench_fig9(const BenchContext& ctx, telemetry::BenchReport& report) {
                    name);
     report.set_metric("reduction_pct/" + std::string(name), reduction);
   }
+  report.set_decimals(1, {"at_16", "at_64", "at_256", "at_1024", "projected",
+                          "reduction_pct"});
+
+  // PPN > 1 extension: the intra-node shm transport removes same-node pairs
+  // from the RC QP budget on top of the on-demand savings (hello's init
+  // barrier tree).
+  if (ctx.quick) return;
+  for (std::uint32_t pes : {256u, 512u}) {
+    for (std::uint32_t ppn : {1u, 2u, 4u}) {
+      IntranodeQpSample rc =
+          hello_qp_sample(ctx.seed, pes, ppn, core::IntranodeTransport::kRc);
+      IntranodeQpSample shm =
+          hello_qp_sample(ctx.seed, pes, ppn, core::IntranodeTransport::kShm);
+      report.add_row(
+          "shm_rc_qps", pes,
+          {{"rc_qps", rc.rc_qps_total},
+           {"shm_qps", shm.rc_qps_total},
+           {"reduction_pct",
+            100.0 * (1.0 - shm.rc_qps_total / rc.rc_qps_total)}},
+          "ppn" + std::to_string(ppn));
+    }
+  }
+  report.set_decimals(0, {"rc_qps", "shm_qps"});
 }
 
 void bench_table1(const BenchContext& ctx, telemetry::BenchReport& report) {
   std::uint32_t pes = ctx.quick ? 64 : 256;
   report.set_config("pes", static_cast<std::int64_t>(pes));
   report.set_config("ppn", std::int64_t{8});
-  struct Row {
-    const char* name;
-    double paper;
-  };
   // Paper values hold at the 256-PE evaluation scale.
-  const std::vector<Row> paper = {{"2DHeat", 4.7}, {"EP", 2.0}, {"MG", 9.5},
-                                  {"BT", 9.9},     {"SP", 9.9}};
-  auto zoo = kernel_zoo(ctx.quick, /*all_apps=*/!ctx.quick);
+  const std::map<std::string, double> paper = {
+      {"2DHeat", 4.7}, {"EP", 2.0}, {"MG", 9.5}, {"BT", 9.9}, {"SP", 9.9}};
+  auto zoo = ctx.quick ? kernel_zoo(/*quick=*/true, /*all_apps=*/false)
+                       : peer_count_kernels();
   for (std::size_t i = 0; i < zoo.size(); ++i) {
     const auto& [name, kernel] = zoo[i];
-    std::unique_ptr<sim::Engine> engine;
-    std::unique_ptr<shmem::ShmemJob> job;
-    (void)kernel_job(ctx, pes, core::proposed_design(), kernel, &engine,
-                     &job);
-    double peers = mean_peers(*job);
+    JobRun run = kernel_job(ctx, pes, core::proposed_design(), kernel);
     report.add_row("peers", static_cast<double>(i),
-                   {{"measured", peers}, {"paper_at_256", paper[i].paper}},
+                   {{"measured", mean_peers(*run.job)},
+                    {"paper_at_256", paper.at(name)}},
                    name);
   }
+  report.set_decimals(1, {"measured", "paper_at_256"});
+  if (ctx.quick) return;
+
+  // PPN > 1 extension: with the intra-node shm transport a process's
+  // communicating peers split into RC-connected (cross-node) and shm
+  // (same-node); only the former consume QPs and LRU slots.
+  core::ConduitConfig shm = core::proposed_design();
+  shm.intranode_transport = core::IntranodeTransport::kShm;
+  const Kernel heat = bind_kernel(&apps::heat2d_pe, table1_heat());
+  for (std::uint32_t ppn : {2u, 4u, 8u}) {
+    JobRun run = kernel_job(ctx, pes, shm, heat, nullptr, ppn);
+    double shm_peers = 0;
+    double qps = 0;
+    for (std::uint32_t r = 0; r < pes; ++r) {
+      core::Conduit& c = run.job->conduit_job().conduit(r);
+      shm_peers += static_cast<double>(c.shm_peer_count());
+      qps += static_cast<double>(c.stats().counter("qp_created_rc"));
+    }
+    report.add_row("shm_split_2dheat", ppn,
+                   {{"rc_peers", mean_peers(*run.job)},
+                    {"shm_peers", shm_peers / pes},
+                    {"rc_qps_per_pe", qps / pes}});
+  }
+  report.set_decimals(1, {"rc_peers", "shm_peers", "rc_qps_per_pe"});
+}
+
+struct FirstContact {
+  double wall_s;
+  double retransmits;
+  double reply_resends;
+  double collisions;
+  double handshakes;
+  double handshake_p99_us;
+  double connected;  ///< mean connections established per PE
+};
+
+/// Every PE puts to every peer at once right after start_pes — the worst
+/// case for the handshake (maximum collisions + loss) — over a UD control
+/// channel that drops `drop`, duplicates `drop / 4` and jitters up to 2 us.
+FirstContact first_contact(const BenchContext& ctx, std::uint32_t pes,
+                           core::ConduitConfig conduit, double drop) {
+  shmem::ShmemJobConfig config = seeded_job(ctx, pes, 8, conduit);
+  config.job.fabric.ud_drop_rate = drop;
+  config.job.fabric.ud_duplicate_rate = drop / 4;
+  config.job.fabric.ud_jitter_max = 2 * sim::usec;
+  sim::Engine engine;
+  shmem::ShmemJob job(engine, config);
+  // The telemetry pipeline observes the handshakes; its registry is the
+  // source for the retransmit/resend tallies below.
+  telemetry::Telemetry tel;
+  tel.attach(job.conduit_job());
+  sim::Time wall = job.run([pes](shmem::ShmemPe& pe) -> sim::Task<> {
+    co_await pe.start_pes();
+    shmem::SymAddr slot = pe.heap().allocate(8 * pes, 8);
+    for (std::uint32_t peer = 0; peer < pes; ++peer) {
+      if (peer != pe.rank()) {
+        co_await pe.put_value<std::uint64_t>(peer, slot + 8 * pe.rank(),
+                                             pe.rank());
+      }
+    }
+    co_await pe.finalize();
+  });
+  tel.finish(engine.now());
+  const telemetry::MetricsRegistry& m = tel.metrics();
+  const telemetry::Histogram* hs = m.histogram("conn/handshake_time");
+  return {sim::to_seconds(wall),
+          static_cast<double>(m.counter("conn/retransmits")),
+          static_cast<double>(m.counter("conn/reply_resends")),
+          static_cast<double>(m.counter("conn/collisions")),
+          static_cast<double>(m.counter("conn/handshakes_completed")),
+          hs != nullptr ? sim::to_usec(hs->percentile(99)) : 0.0,
+          mean_counter(job, "connections_established")};
 }
 
 void bench_ud_loss(const BenchContext& ctx, telemetry::BenchReport& report) {
@@ -676,44 +832,16 @@ void bench_ud_loss(const BenchContext& ctx, telemetry::BenchReport& report) {
   report.set_config("pes", static_cast<std::int64_t>(pes));
   report.set_config("ppn", std::int64_t{8});
   for (double drop : drops) {
-    shmem::ShmemJobConfig config =
-        seeded_job(ctx, pes, 8, core::proposed_design());
-    config.job.fabric.ud_drop_rate = drop;
-    config.job.fabric.ud_duplicate_rate = drop / 4;
-    config.job.fabric.ud_jitter_max = 2 * sim::usec;
-    sim::Engine engine;
-    shmem::ShmemJob job(engine, config);
-    // The telemetry pipeline observes the handshakes; its registry is the
-    // source for the retransmit/resend tallies below.
-    telemetry::Telemetry tel;
-    tel.attach(job.conduit_job());
-    sim::Time wall = job.run([pes](shmem::ShmemPe& pe) -> sim::Task<> {
-      co_await pe.start_pes();
-      shmem::SymAddr slot = pe.heap().allocate(8 * pes, 8);
-      // First contact with every peer at once: the worst case for the
-      // handshake (maximum collisions + loss).
-      for (std::uint32_t peer = 0; peer < pes; ++peer) {
-        if (peer != pe.rank()) {
-          co_await pe.put_value<std::uint64_t>(peer, slot + 8 * pe.rank(),
-                                               pe.rank());
-        }
-      }
-      co_await pe.finalize();
-    });
-    tel.finish(engine.now());
-    const telemetry::MetricsRegistry& m = tel.metrics();
-    const telemetry::Histogram* hs = m.histogram("conn/handshake_time");
-    report.add_row(
-        "loss", drop,
-        {{"wall_s", sim::to_seconds(wall)},
-         {"retransmits", static_cast<double>(m.counter("conn/retransmits"))},
-         {"reply_resends",
-          static_cast<double>(m.counter("conn/reply_resends"))},
-         {"collisions", static_cast<double>(m.counter("conn/collisions"))},
-         {"handshakes",
-          static_cast<double>(m.counter("conn/handshakes_completed"))},
-         {"handshake_p99_us",
-          hs != nullptr ? sim::to_usec(hs->percentile(99)) : 0.0}});
+    FirstContact r = first_contact(ctx, pes, core::proposed_design(), drop);
+    std::vector<std::pair<std::string, double>> values = {
+        {"wall_s", r.wall_s},
+        {"retransmits", r.retransmits},
+        {"reply_resends", r.reply_resends},
+        {"collisions", r.collisions},
+        {"handshakes", r.handshakes},
+        {"handshake_p99_us", r.handshake_p99_us}};
+    if (!ctx.quick) values.emplace_back("connected", r.connected);
+    report.add_row("loss", drop, std::move(values));
   }
 
   // Backoff-cap sweep: fix the heaviest drop rate above and vary
@@ -725,37 +853,20 @@ void bench_ud_loss(const BenchContext& ctx, telemetry::BenchReport& report) {
   for (double cap_ms : caps_ms) {
     core::ConduitConfig conduit = core::proposed_design();
     conduit.conn_rto_max = static_cast<sim::Time>(cap_ms * sim::msec);
-    shmem::ShmemJobConfig config = seeded_job(ctx, pes, 8, conduit);
-    config.job.fabric.ud_drop_rate = drops.back();
-    config.job.fabric.ud_duplicate_rate = drops.back() / 4;
-    config.job.fabric.ud_jitter_max = 2 * sim::usec;
-    sim::Engine engine;
-    shmem::ShmemJob job(engine, config);
-    telemetry::Telemetry tel;
-    tel.attach(job.conduit_job());
-    sim::Time wall = job.run([pes](shmem::ShmemPe& pe) -> sim::Task<> {
-      co_await pe.start_pes();
-      shmem::SymAddr slot = pe.heap().allocate(8 * pes, 8);
-      for (std::uint32_t peer = 0; peer < pes; ++peer) {
-        if (peer != pe.rank()) {
-          co_await pe.put_value<std::uint64_t>(peer, slot + 8 * pe.rank(),
-                                               pe.rank());
-        }
-      }
-      co_await pe.finalize();
-    });
-    tel.finish(engine.now());
-    const telemetry::MetricsRegistry& m = tel.metrics();
-    const telemetry::Histogram* hs = m.histogram("conn/handshake_time");
-    report.add_row(
-        "rto_max", cap_ms,
-        {{"wall_s", sim::to_seconds(wall)},
-         {"retransmits", static_cast<double>(m.counter("conn/retransmits"))},
-         {"handshakes",
-          static_cast<double>(m.counter("conn/handshakes_completed"))},
-         {"handshake_p99_us",
-          hs != nullptr ? sim::to_usec(hs->percentile(99)) : 0.0}});
+    FirstContact r = first_contact(ctx, pes, conduit, drops.back());
+    std::vector<std::pair<std::string, double>> values = {
+        {"wall_s", r.wall_s},
+        {"retransmits", r.retransmits},
+        {"handshakes", r.handshakes},
+        {"handshake_p99_us", r.handshake_p99_us}};
+    if (!ctx.quick) values.emplace_back("connected", r.connected);
+    report.add_row("rto_max", cap_ms, std::move(values));
   }
+  report.set_decimals(2, {"loss/x"});
+  report.set_decimals(1, {"rto_max/x", "connected", "handshake_p99_us"});
+  report.set_decimals(3, {"wall_s"});
+  report.set_decimals(0, {"retransmits", "reply_resends", "collisions",
+                          "handshakes"});
 }
 
 void bench_connect_storm(const BenchContext& ctx,
@@ -892,6 +1003,16 @@ void bench_ablation_intranode(const BenchContext& ctx,
   report.set_metric("qp_reduction_pct_ppn4",
                     100.0 * (1.0 - shm_accept.rc_qps_total /
                                        rc_accept.rc_qps_total));
+  if (!ctx.quick) {
+    report.set_metric("rc_qps_ppn4_rc", rc_accept.rc_qps_total);
+    report.set_metric("rc_qps_ppn4_shm", shm_accept.rc_qps_total);
+  }
+  report.set_decimals(3, {"rc_us", "shm_us"});
+  report.set_decimals(2, {"speedup"});
+  report.set_decimals(0, {"rc_qps", "shm_qps", "rc_qps_ppn4_rc",
+                          "rc_qps_ppn4_shm"});
+  report.set_decimals(1, {"reduction_pct", "shm_peers_mean",
+                          "qp_reduction_pct_ppn4"});
 }
 
 void bench_ablation_registration(const BenchContext& ctx,
@@ -900,7 +1021,7 @@ void bench_ablation_registration(const BenchContext& ctx,
   base.seed = ctx.seed;
   base.pes = 8;
   base.heap_bytes = 256 << 10;
-  base.rounds = ctx.quick ? 24 : 96;
+  base.rounds = ctx.quick ? 24 : 48;
   report.set_config("pes", static_cast<std::int64_t>(base.pes));
   report.set_config("heap_bytes", static_cast<std::int64_t>(base.heap_bytes));
   report.set_config("rounds", static_cast<std::int64_t>(base.rounds));
@@ -910,10 +1031,17 @@ void bench_ablation_registration(const BenchContext& ctx,
   RegSweepConfig eager = base;
   eager.on_demand = false;
   RegSweepSample eager_sample = reg_sweep_sample(eager);
-  report.add_row("eager_baseline", 0,
-                 {{"wall_s", eager_sample.wall_s},
-                  {"eager_reg_s", eager_sample.eager_reg_s},
-                  {"pinned_hw_frac", 1.0}});
+  std::vector<std::pair<std::string, double>> eager_values = {
+      {"wall_s", eager_sample.wall_s},
+      {"eager_reg_s", eager_sample.eager_reg_s},
+      {"pinned_hw_frac", 1.0}};
+  if (!ctx.quick) {
+    eager_values.insert(eager_values.end(),
+                        {{"lazy_reg_s", eager_sample.lazy_reg_s},
+                         {"faults", eager_sample.faults},
+                         {"evictions", eager_sample.evictions}});
+  }
+  report.add_row("eager_baseline", 0, std::move(eager_values));
 
   auto emit = [&](const char* series, double x, const char* label,
                   const RegSweepSample& sample) {
@@ -960,6 +1088,9 @@ void bench_ablation_registration(const BenchContext& ctx,
   // fraction of what eager registration pays for up front.
   report.set_metric("hot_pinned_highwater_frac", hot_hw_frac);
   report.set_metric("eager_reg_s", eager_sample.eager_reg_s);
+  report.set_decimals(4, {"wall_s", "eager_reg_s", "lazy_reg_s"});
+  report.set_decimals(1, {"faults", "evictions"});
+  report.set_decimals(2, {"pinned_hw_frac", "hot_pinned_highwater_frac"});
 }
 
 /// Mean round-trip (us) of `iters` tagged message exchanges: rank 0 sends
@@ -1013,12 +1144,14 @@ void bench_ablation_bulkproto(const BenchContext& ctx,
   // (`eager_copy_bytes_per_ns`), rendezvous replaces it with a fixed
   // control-message overhead plus sink posting — the crossover is the
   // eager threshold the knob table should recommend.
-  std::vector<std::uint32_t> sizes =
-      ctx.quick
-          ? std::vector<std::uint32_t>{1 << 10, 8 << 10, 32 << 10, 128 << 10}
-          : std::vector<std::uint32_t>{1 << 10,  4 << 10,   16 << 10,
-                                       32 << 10, 64 << 10,  128 << 10,
-                                       256 << 10, 512 << 10};
+  std::vector<std::uint32_t> sizes;
+  if (ctx.quick) {
+    sizes = {1 << 10, 8 << 10, 32 << 10, 128 << 10};
+  } else {
+    for (std::uint32_t bytes = 1 << 10; bytes <= (512 << 10); bytes *= 2) {
+      sizes.push_back(bytes);
+    }
+  }
   std::uint32_t iters = ctx.quick ? 50 : 200;
   report.set_config("pes", std::int64_t{2});
   report.set_config("iters", static_cast<std::int64_t>(iters));
@@ -1089,6 +1222,264 @@ void bench_ablation_bulkproto(const BenchContext& ctx,
     report.add_row("shmem_put_64k", static_cast<double>(i),
                    {{"latency_us", us}}, tiers[i].label);
   }
+  report.set_decimals(2, {"eager_us", "rendezvous_us", "latency_us"});
+  report.set_decimals(1, {"rdv_advantage_pct"});
+  report.set_decimals(0, {"crossover_bytes"});
+}
+
+void bench_ablation_ingredients(const BenchContext& ctx,
+                                telemetry::BenchReport& report) {
+  // Ablation A1: how much of the startup win comes from each ingredient of
+  // the proposed design? Applied cumulatively to the static baseline.
+  std::uint32_t pes = ctx.quick ? 256 : 2048;
+  report.set_config("pes", static_cast<std::int64_t>(pes));
+  report.set_config("ppn", std::int64_t{16});
+  core::ConduitConfig baseline = core::current_design();
+  core::ConduitConfig on_demand = baseline;
+  on_demand.connection_mode = core::ConnectionMode::kOnDemand;
+  core::ConduitConfig nonblocking = on_demand;
+  nonblocking.pmi_mode = core::PmiMode::kNonBlocking;
+  core::ConduitConfig full = nonblocking;
+  full.init_barrier_mode = core::BarrierMode::kIntraNode;
+  const std::pair<const char*, core::ConduitConfig> steps[] = {
+      {"baseline (static,blocking,global)", baseline},
+      {"+ on-demand connections", on_demand},
+      {"+ PMIX_Iallgather", nonblocking},
+      {"+ intra-node barriers (full)", full},
+  };
+  for (std::size_t i = 0; i < std::size(steps); ++i) {
+    JobRun run = hello_job(seeded_job(ctx, pes, 16, steps[i].second));
+    report.add_row("startup", static_cast<double>(i),
+                   {{"start_pes_s", mean_phase_s(*run.job, "start_pes_total")},
+                    {"hello_s", run.wall_s},
+                    {"endpoints", mean_endpoints(*run.job)}},
+                   steps[i].first);
+  }
+  report.set_decimals(3, {"start_pes_s", "hello_s"});
+  report.set_decimals(1, {"endpoints"});
+}
+
+void bench_ablation_overlap(const BenchContext& ctx,
+                            telemetry::BenchReport& report) {
+  // Ablation A2 (paper §IV-D): `work` inserted between start_pes and the
+  // first communication hides the PMIX_Iallgather exchange; if it is
+  // hidden, the PMIX_Wait stall drops to zero and wall - work is constant.
+  std::uint32_t pes = ctx.quick ? 256 : 4096;
+  std::vector<double> works = ctx.quick
+                                  ? std::vector<double>{0.0, 0.25, 1.0}
+                                  : std::vector<double>{0.0, 0.25, 0.5, 1.0,
+                                                        2.0};
+  report.set_config("pes", static_cast<std::int64_t>(pes));
+  report.set_config("ppn", std::int64_t{16});
+  for (double work_s : works) {
+    apps::HelloParams params;
+    params.work = static_cast<sim::Time>(work_s * 1e9);
+    shmem::ShmemJobConfig config =
+        seeded_job(ctx, pes, 16, core::proposed_design());
+    // Strip the trailing bookkeeping from start_pes so the allgather has no
+    // free ride: any overlap must come from the inserted work.
+    config.shmem.init_misc = 0;
+    JobRun run = hello_job(config, params);
+    report.add_row("overlap", work_s,
+                   {{"wall_s", run.wall_s},
+                    {"wall_minus_work_s", run.wall_s - work_s},
+                    {"pmi_wait_us", 1e6 * mean_phase_s(*run.job, "pmi_wait")}});
+  }
+  report.set_decimals(2, {"x"});
+  report.set_decimals(3, {"wall_s", "wall_minus_work_s"});
+  report.set_decimals(1, {"pmi_wait_us"});
+}
+
+void bench_ablation_bulk_model(const BenchContext& ctx,
+                               telemetry::BenchReport& report) {
+  // Ablation A4: above `bulk_connect_threshold` the static connector
+  // charges the N^2 mesh analytically instead of simulating every
+  // handshake (DESIGN.md §2); sizes where both paths are affordable.
+  std::vector<std::uint32_t> pes_list =
+      ctx.quick ? std::vector<std::uint32_t>{64, 128}
+                : std::vector<std::uint32_t>{64, 128, 256, 512};
+  set_pes_config(report, pes_list);
+  report.set_config("ppn", std::int64_t{16});
+  auto init_s = [&](std::uint32_t pes, bool bulk) {
+    core::ConduitConfig conduit = core::current_design();
+    conduit.bulk_connect_threshold = bulk ? 8 : 100000;
+    JobRun run = hello_job(seeded_job(ctx, pes, 16, conduit));
+    return mean_phase_s(*run.job, "start_pes_total");
+  };
+  for (std::uint32_t pes : pes_list) {
+    double simulated = init_s(pes, false);
+    double modeled = init_s(pes, true);
+    report.add_row("start_pes", pes,
+                   {{"simulated_s", simulated},
+                    {"modeled_s", modeled},
+                    {"error_pct", 100.0 * (modeled - simulated) / simulated}});
+  }
+  report.set_decimals(3, {"simulated_s", "modeled_s"});
+  report.set_decimals(2, {"error_pct"});
+}
+
+void bench_ablation_hca_cache(const BenchContext& ctx,
+                              telemetry::BenchReport& report) {
+  // Ablation A5 (paper §I, motivation 3): with the (default-off) HCA
+  // QP-context cache model on, a ring exchange pays a miss penalty per op
+  // when the static design keeps ppn*N contexts resident; the on-demand
+  // design allocates only what the ring uses. Traffic working set: 2 QPs.
+  std::uint32_t pes = ctx.quick ? 128 : 512;
+  constexpr std::uint32_t kCacheQps = 256;
+  constexpr std::uint32_t kOps = 200;
+  report.set_config("pes", static_cast<std::int64_t>(pes));
+  report.set_config("ppn", std::int64_t{8});
+  report.set_config("hca_cache_qps", std::int64_t{kCacheQps});
+  std::vector<sim::Time> penalties =
+      ctx.quick ? std::vector<sim::Time>{0, 400 * sim::nsec}
+                : std::vector<sim::Time>{0, 200 * sim::nsec, 400 * sim::nsec,
+                                         800 * sim::nsec};
+  auto ring_put_us = [&](core::ConduitConfig conduit, sim::Time penalty) {
+    shmem::ShmemJobConfig config = seeded_job(ctx, pes, 8, conduit);
+    config.job.fabric.hca_cache_qps = kCacheQps;
+    config.job.fabric.cache_miss_penalty = penalty;
+    double latency_us = 0;
+    (void)run_job(config, [&](shmem::ShmemPe& pe) -> sim::Task<> {
+      co_await pe.start_pes();
+      shmem::SymAddr slot = pe.heap().allocate(8ULL * pes, 8);
+      co_await pe.barrier_all();
+      shmem::RankId right = (pe.rank() + 1) % pes;
+      // Warmup: establish the ring connection.
+      co_await pe.put_value<std::uint64_t>(right, slot + 8ULL * pe.rank(), 0);
+      co_await pe.barrier_all();
+      sim::Time t0 = pe.engine().now();
+      for (std::uint32_t op = 0; op < kOps; ++op) {
+        co_await pe.put_value<std::uint64_t>(right, slot + 8ULL * pe.rank(),
+                                             op);
+      }
+      if (pe.rank() == 0) {
+        latency_us = sim::to_usec(pe.engine().now() - t0) / kOps;
+      }
+      co_await pe.finalize();
+    });
+    return latency_us;
+  };
+  for (sim::Time penalty : penalties) {
+    double stat = ring_put_us(core::current_design(), penalty);
+    double dyn = ring_put_us(core::proposed_design(), penalty);
+    report.add_row("ring_put", static_cast<double>(penalty),
+                   {{"static_us", stat},
+                    {"ondemand_us", dyn},
+                    {"overhead_pct", 100.0 * (stat - dyn) / dyn}});
+  }
+  report.set_decimals(2, {"static_us", "ondemand_us"});
+  report.set_decimals(1, {"overhead_pct"});
+}
+
+void bench_ablation_eviction(const BenchContext& ctx,
+                             telemetry::BenchReport& report) {
+  // Ablation A6: adaptive connection management (Yu et al., IPDPS'06).
+  // Capping live connections per PE trades endpoint memory for
+  // re-handshake churn over a 12-peer working set; `landed` audits that
+  // every put's final value arrived despite the evictions.
+  constexpr std::uint32_t kPes = 64;
+  constexpr std::uint32_t kWorkingSet = 12;
+  constexpr std::uint32_t kRounds = 3;
+  report.set_config("pes", std::int64_t{kPes});
+  report.set_config("ppn", std::int64_t{8});
+  report.set_config("working_set", std::int64_t{kWorkingSet});
+  std::vector<std::uint32_t> caps =
+      ctx.quick ? std::vector<std::uint32_t>{0, 16, 4}
+                : std::vector<std::uint32_t>{0, 16, 8, 4, 2};
+  for (std::uint32_t cap : caps) {
+    shmem::ShmemJobConfig config =
+        seeded_job(ctx, kPes, 8, core::proposed_design());
+    config.job.conduit.max_active_connections = cap;
+    shmem::SymAddr slot = 0;
+    JobRun run = run_job(config, [&slot](shmem::ShmemPe& pe) -> sim::Task<> {
+      co_await pe.start_pes();
+      slot = pe.heap().allocate(8ULL * kPes, 8);
+      co_await pe.barrier_all();
+      for (std::uint32_t round = 0; round < kRounds; ++round) {
+        for (std::uint32_t k = 1; k <= kWorkingSet; ++k) {
+          shmem::RankId peer = (pe.rank() + k * 5) % kPes;
+          if (peer == pe.rank()) continue;
+          co_await pe.put_value<std::uint64_t>(peer, slot + 8ULL * pe.rank(),
+                                               round);
+        }
+      }
+      co_await pe.finalize();
+    });
+    double live = 0;
+    double created = 0;
+    double evictions = 0;
+    bool landed = true;
+    for (std::uint32_t r = 0; r < kPes; ++r) {
+      shmem::ShmemPe& pe = run.job->pe(r);
+      live += static_cast<double>(
+          run.job->conduit_job().conduit(r).connected_peer_count());
+      created += static_cast<double>(pe.stats().counter("qp_created_rc"));
+      evictions += static_cast<double>(pe.stats().counter("conn_evictions"));
+      // Every writer of PE r left its last round in its own slot.
+      for (std::uint32_t k = 1; k <= kWorkingSet; ++k) {
+        shmem::RankId writer = (r + kPes - (k * 5) % kPes) % kPes;
+        if (writer == r) continue;
+        landed = landed && pe.local_read<std::uint64_t>(
+                               slot + 8ULL * writer) == kRounds - 1;
+      }
+    }
+    report.add_row("cap", cap,
+                   {{"wall_s", run.wall_s},
+                    {"live_per_pe", live / kPes},
+                    {"qps_created_per_pe", created / kPes},
+                    {"evictions_per_pe", evictions / kPes},
+                    {"landed", landed ? 1.0 : 0.0}});
+  }
+  report.set_decimals(3, {"wall_s"});
+  report.set_decimals(1, {"live_per_pe", "qps_created_per_pe",
+                          "evictions_per_pe"});
+  report.set_decimals(0, {"landed"});
+}
+
+void bench_ablation_bootstrap(const BenchContext& ctx,
+                              telemetry::BenchReport& report) {
+  // Ablation A7: out-of-band bootstrap strategies for the on-demand
+  // design — blocking Put + Fence + lazy Gets (PMI2), PMIX_Iallgather +
+  // PMIX_Wait (the paper's proposal), PMIX_Ring + IB dissemination. The
+  // first put goes to a far peer: that is where a non-blocking bootstrap
+  // pays its deferred wait.
+  std::vector<std::uint32_t> pes_list =
+      ctx.quick ? std::vector<std::uint32_t>{256}
+                : std::vector<std::uint32_t>{1024, 4096};
+  set_pes_config(report, pes_list);
+  report.set_config("ppn", std::int64_t{16});
+  const std::pair<const char*, core::PmiMode> modes[] = {
+      {"blocking", core::PmiMode::kBlocking},
+      {"iallgather", core::PmiMode::kNonBlocking},
+      {"ring", core::PmiMode::kRing},
+  };
+  for (std::uint32_t pes : pes_list) {
+    for (const auto& [name, mode] : modes) {
+      core::ConduitConfig conduit = core::proposed_design();
+      conduit.pmi_mode = mode;
+      JobRun run = run_job(seeded_job(ctx, pes, 16, conduit),
+                           [pes](shmem::ShmemPe& pe) -> sim::Task<> {
+                             co_await pe.start_pes();
+                             shmem::SymAddr slot = pe.heap().allocate(8);
+                             shmem::RankId far = (pe.rank() + pes / 2) % pes;
+                             co_await pe.put_value<std::uint64_t>(far, slot,
+                                                                  pe.rank());
+                             co_await pe.finalize();
+                           });
+      shmem::ShmemJob& job = *run.job;
+      report.add_row(
+          "bootstrap", pes,
+          {{"start_pes_s", mean_phase_s(job, "start_pes_total")},
+           {"exchange_wait_ms", 1e3 * mean_phase_s(job, "pmi_wait") +
+                                    1e3 * mean_phase_s(job, "pmi_exchange")},
+           {"oob_kib",
+            static_cast<double>(job.conduit_job().pmi().oob_bytes_moved()) /
+                1024.0}},
+          name);
+    }
+  }
+  report.set_decimals(3, {"start_pes_s", "exchange_wait_ms"});
+  report.set_decimals(1, {"oob_kib"});
 }
 
 const std::vector<BenchDef>& registry() {
@@ -1110,8 +1501,26 @@ const std::vector<BenchDef>& registry() {
        bench_fig9},
       {"table1_peer_counts", "communicating peers per process (paper Table I)",
        bench_table1},
+      {"ablation_ingredients",
+       "startup win per ingredient of the proposed design (A1)",
+       bench_ablation_ingredients},
+      {"ablation_overlap",
+       "PMI exchange hidden beneath computation (A2, paper IV-D)",
+       bench_ablation_overlap},
       {"ablation_ud_loss", "handshake robustness under UD loss (ablation A3)",
        bench_ud_loss},
+      {"ablation_bulk_model",
+       "analytic bulk static-connect model vs simulated mesh (A4)",
+       bench_ablation_bulk_model},
+      {"ablation_hca_cache",
+       "HCA QP-context cache pressure, static vs on-demand (A5)",
+       bench_ablation_hca_cache},
+      {"ablation_eviction",
+       "adaptive connection cap vs a 12-peer working set (A6)",
+       bench_ablation_eviction},
+      {"ablation_bootstrap",
+       "bootstrap: blocking PMI vs Iallgather vs PMIX_Ring (A7)",
+       bench_ablation_bootstrap},
       {"ablation_intranode",
        "intra-node shm transport: latency + RC QP savings at PPN > 1",
        bench_ablation_intranode},
@@ -1224,6 +1633,7 @@ int main(int argc, char** argv) {
       std::cerr << "run_all: failed to write " << path.string() << "\n";
       return 1;
     }
+    report.print_tables(std::cout);
     std::cout << "  wrote " << path.string() << "\n";
     ++ran;
   }

@@ -13,7 +13,8 @@ if command -v ninja > /dev/null 2>&1; then
 fi
 
 echo "==> tier-1 build + tests (${prefix})"
-cmake -B "${prefix}" -S . "${generator[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "${prefix}" -S . "${generator[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+  -DODCM_WERROR=ON
 cmake --build "${prefix}" -j "${jobs}"
 ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
 
@@ -64,7 +65,7 @@ ls -l "${prefix}/bench-artifacts.tar.gz"
 
 echo "==> sanitizer build + tests (${prefix}-asan)"
 cmake -B "${prefix}-asan" -S . "${generator[@]}" \
-  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DENABLE_SANITIZERS=ON
+  -DCMAKE_BUILD_TYPE=RelWithDebInfo -DENABLE_SANITIZERS=ON -DODCM_WERROR=ON
 cmake --build "${prefix}-asan" -j "${jobs}"
 # Leak detection stays off: deadlock- and exception-path tests abandon
 # suspended coroutine frames by design (the engine documents this), which

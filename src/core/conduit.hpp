@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <initializer_list>
 #include <map>
 #include <memory>
 #include <optional>
@@ -70,6 +71,35 @@ using PayloadConsumer =
 /// First active-message handler id available to upper layers; smaller ids
 /// are reserved for conduit-internal protocols (barrier).
 inline constexpr std::uint16_t kFirstUserHandler = 16;
+
+/// Every upper-layer AM handler id is assigned here, in one place, so two
+/// layers sharing a conduit can never claim the same id. Applications and
+/// tests take ids above the last of them.
+/// OpenSHMEM collectives data plane (kinds multiplexed inside).
+inline constexpr std::uint16_t kShmemCollDataHandler = kFirstUserHandler;
+/// OpenSHMEM symmetric-segment exchange.
+inline constexpr std::uint16_t kShmemSegInfoHandler = kFirstUserHandler + 1;
+/// OpenSHMEM on-demand registration protocol (rkey faults /
+/// invalidations); only registered when `ShmemConfig::registration ==
+/// kOnDemand`.
+inline constexpr std::uint16_t kShmemRegHandler = kFirstUserHandler + 2;
+/// MPI point-to-point, rendezvous and collectives.
+inline constexpr std::uint16_t kMpiHandler = kFirstUserHandler + 3;
+
+namespace detail {
+constexpr bool distinct_ids(std::initializer_list<std::uint16_t> ids) {
+  for (const std::uint16_t* a = ids.begin(); a != ids.end(); ++a) {
+    for (const std::uint16_t* b = a + 1; b != ids.end(); ++b) {
+      if (*a == *b) return false;
+    }
+  }
+  return true;
+}
+}  // namespace detail
+static_assert(detail::distinct_ids({kShmemCollDataHandler,
+                                    kShmemSegInfoHandler, kShmemRegHandler,
+                                    kMpiHandler}),
+              "upper-layer AM handler ids must be distinct");
 
 /// Conduit-internal AM id of the rendezvous RTS/CTS exchange. Internal
 /// handlers never consume flow-control credits, so a rendezvous handshake
@@ -403,7 +433,9 @@ class Conduit {
     return connected_count_;
   }
   void maybe_evict(RankId just_connected);
-  sim::Task<> evict_connection(RankId victim);
+  /// Send the eviction notice over `qp`, the QP of the epoch being
+  /// evicted (captured when the eviction was decided).
+  sim::Task<> evict_connection(RankId victim, fabric::QueuePair* qp);
   void retire_qp(RankId rank, Peer& peer);
   /// Destroy the slot's retired QP once its work queue drains (called at
   /// the drain-resolution points, so `retired_qps_` stays bounded under

@@ -12,6 +12,10 @@ ConduitJob::ConduitJob(sim::Engine& engine, JobConfig config)
   if (config_.ranks == 0 || config_.ranks_per_node == 0) {
     throw std::invalid_argument("ConduitJob: ranks and ranks_per_node > 0");
   }
+  if (config_.conduit.barrier_fanout == 0) {
+    throw std::invalid_argument(
+        "ConduitJob: conduit.barrier_fanout must be >= 1");
+  }
   std::uint32_t nodes = (config_.ranks + config_.ranks_per_node - 1) /
                         config_.ranks_per_node;
   config_.fabric.nodes = nodes;

@@ -10,7 +10,7 @@ namespace odcm::mpi {
 
 MpiComm::MpiComm(core::Conduit& conduit) : conduit_(conduit) {
   conduit_.register_handler(
-      kMpiHandler,
+      core::kMpiHandler,
       [this](RankId src, std::vector<std::byte> payload) -> sim::Task<> {
         return handle_message(src, std::move(payload));
       });
@@ -173,7 +173,7 @@ sim::Task<> MpiComm::send_tagged(RankId dst, std::uint64_t tag,
   message.reserve(8 + data.size());
   core::wire::put_int<std::uint64_t>(message, tag);
   message.insert(message.end(), data.begin(), data.end());
-  co_await conduit_.am_send(dst, kMpiHandler, std::move(message));
+  co_await conduit_.am_send(dst, core::kMpiHandler, std::move(message));
 }
 
 sim::Task<> MpiComm::send_rendezvous(RankId dst, std::uint64_t tag,
@@ -196,7 +196,7 @@ sim::Task<> MpiComm::send_rendezvous(RankId dst, std::uint64_t tag,
     core::wire::put_int<std::uint64_t>(message, kCtrlRts);
     std::vector<std::byte> packet = rts.encode();
     message.insert(message.end(), packet.begin(), packet.end());
-    co_await conduit_.am_send(dst, kMpiHandler, std::move(message));
+    co_await conduit_.am_send(dst, core::kMpiHandler, std::move(message));
   }
   co_await state->cts.wait();
   const auto chunk = static_cast<std::size_t>(
@@ -220,7 +220,7 @@ sim::Task<> MpiComm::send_rendezvous(RankId dst, std::uint64_t tag,
     message.insert(message.end(), data.begin() + static_cast<std::ptrdiff_t>(off),
                    data.begin() + static_cast<std::ptrdiff_t>(off + take));
     conduit_.stats().add("bulk_fragments_sent");
-    co_await conduit_.am_send(dst, kMpiHandler, std::move(message));
+    co_await conduit_.am_send(dst, core::kMpiHandler, std::move(message));
   }
   send_rdv_.erase(seq);
 }
@@ -232,7 +232,7 @@ sim::Task<> MpiComm::send_credit(RankId dst, std::uint32_t seq,
   core::wire::put_int<std::uint64_t>(message, kCtrlCredit);
   std::vector<std::byte> packet = grant.encode();
   message.insert(message.end(), packet.begin(), packet.end());
-  co_await conduit_.am_send(dst, kMpiHandler, std::move(message));
+  co_await conduit_.am_send(dst, core::kMpiHandler, std::move(message));
 }
 
 sim::Task<std::vector<std::byte>> MpiComm::recv_tagged(RankId src,

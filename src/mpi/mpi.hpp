@@ -43,9 +43,6 @@ namespace odcm::mpi {
 using RankId = fabric::RankId;
 using ReduceOp = shmem::ReduceOp;
 
-/// AM handler id used by the MPI layer (distinct from the SHMEM ids).
-inline constexpr std::uint16_t kMpiHandler = core::kFirstUserHandler + 2;
-
 class MpiComm {
  public:
   /// Construct over an existing conduit. Must be constructed on every rank

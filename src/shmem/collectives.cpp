@@ -16,7 +16,7 @@ namespace odcm::shmem {
 
 using detail::coll_key;
 using detail::kBcastKind;
-using detail::kCollDataHandler;
+using core::kShmemCollDataHandler;
 using detail::kAlltoallKind;
 using detail::kCollectKind;
 using detail::kReduceKind;
@@ -76,7 +76,7 @@ sim::Task<> ShmemPe::broadcast(RankId root, SymAddr addr, std::uint32_t len) {
     std::uint64_t child = static_cast<std::uint64_t>(vrank) * fanout + c;
     if (child >= n) break;
     co_await conduit_.am_send((static_cast<RankId>(child) + root) % n,
-                              kCollDataHandler, message);
+                              kShmemCollDataHandler, message);
   }
   coll_states_.erase(key);
 }
@@ -106,7 +106,7 @@ sim::Task<> ShmemPe::fcollect(SymAddr dest, SymAddr src,
     std::vector<std::byte> message = coll_header(kCollectKind, seq);
     core::wire::put_int<std::uint32_t>(message, send_idx);
     message.insert(message.end(), current.begin(), current.end());
-    co_await conduit_.am_send(right, kCollDataHandler, std::move(message));
+    co_await conduit_.am_send(right, kShmemCollDataHandler, std::move(message));
 
     std::vector<std::byte> incoming = co_await collect_state(key).chunks.pop();
     core::wire::Reader reader(incoming);
@@ -141,7 +141,7 @@ sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
       std::vector<std::byte> message = coll_header(kCollectKind, seq);
       core::wire::put_int<std::uint32_t>(message, send_idx);
       core::wire::put_int<std::uint32_t>(message, lengths[send_idx]);
-      co_await conduit_.am_send(right, kCollDataHandler,
+      co_await conduit_.am_send(right, kShmemCollDataHandler,
                                 std::move(message));
       std::vector<std::byte> incoming =
           co_await collect_state(key).chunks.pop();
@@ -179,7 +179,7 @@ sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
     std::vector<std::byte> message = coll_header(kCollectKind, seq);
     core::wire::put_int<std::uint32_t>(message, send_idx);
     message.insert(message.end(), current.begin(), current.end());
-    co_await conduit_.am_send(right, kCollDataHandler,
+    co_await conduit_.am_send(right, kShmemCollDataHandler,
                               std::move(message));
     std::vector<std::byte> incoming = co_await collect_state(key).chunks.pop();
     core::wire::Reader reader(incoming);
@@ -221,7 +221,7 @@ sim::Task<> ShmemPe::alltoall(SymAddr dest, SymAddr src,
     auto block = local_window(
         src + static_cast<std::uint64_t>(peer) * block_len, block_len);
     message.insert(message.end(), block.begin(), block.end());
-    co_await conduit_.am_send(peer, kCollDataHandler,
+    co_await conduit_.am_send(peer, kShmemCollDataHandler,
                               std::move(message));
   }
   for (std::uint32_t received = 0; received + 1 < n; ++received) {
@@ -282,7 +282,7 @@ sim::Task<> ShmemPe::reduce_impl(SymAddr dest, SymAddr src,
     auto acc = local_window(dest, bytes);
     message.insert(message.end(), acc.begin(), acc.end());
     RankId parent = (rank_ - 1) / fanout;
-    co_await conduit_.am_send(parent, kCollDataHandler, std::move(message));
+    co_await conduit_.am_send(parent, kShmemCollDataHandler, std::move(message));
 
     std::vector<std::byte> result = co_await collect_state(key).chunks.pop();
     if (result.size() != bytes) {
@@ -299,7 +299,7 @@ sim::Task<> ShmemPe::reduce_impl(SymAddr dest, SymAddr src,
   for (std::uint32_t c = 1; c <= fanout; ++c) {
     std::uint64_t child = static_cast<std::uint64_t>(rank_) * fanout + c;
     if (child >= n) break;
-    co_await conduit_.am_send(static_cast<RankId>(child), kCollDataHandler,
+    co_await conduit_.am_send(static_cast<RankId>(child), kShmemCollDataHandler,
                               message);
   }
   coll_states_.erase(key);

@@ -6,6 +6,10 @@ namespace odcm::shmem {
 
 ShmemJob::ShmemJob(sim::Engine& engine, ShmemJobConfig config)
     : engine_(engine), config_(config) {
+  if (config_.shmem.collective_fanout == 0) {
+    throw std::invalid_argument(
+        "ShmemJob: shmem.collective_fanout must be >= 1");
+  }
   conduit_job_ = std::make_unique<core::ConduitJob>(engine_, config_.job);
   pes_.reserve(conduit_job_->ranks());
   for (RankId rank = 0; rank < conduit_job_->ranks(); ++rank) {

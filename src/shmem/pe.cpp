@@ -10,8 +10,8 @@
 
 namespace odcm::shmem {
 
-using detail::kCollDataHandler;
-using detail::kSegInfoHandler;
+using core::kShmemCollDataHandler;
+using core::kShmemSegInfoHandler;
 
 ShmemPe::ShmemPe(ShmemJob& job, RankId rank)
     : job_(job),
@@ -47,12 +47,12 @@ sim::Task<> ShmemPe::start_pes() {
   segments_.assign(n_pes(), std::nullopt);
   puts_drained_ = std::make_unique<sim::Trigger>(eng);
   conduit_.register_handler(
-      kCollDataHandler,
+      kShmemCollDataHandler,
       [this](RankId src, std::vector<std::byte> payload) -> sim::Task<> {
         return handle_coll_data(src, std::move(payload));
       });
   conduit_.register_handler(
-      kSegInfoHandler,
+      kShmemSegInfoHandler,
       [this](RankId src, std::vector<std::byte> payload) -> sim::Task<> {
         segments_[src] = SegmentInfo::deserialize(payload);
         if (++segments_received_ == n_pes() - 1 && segments_gate_) {
@@ -188,7 +188,7 @@ sim::Task<> ShmemPe::broadcast_am_segments() {
   std::vector<std::byte> mine = segments_[rank_]->serialize();
   for (RankId r = 0; r < n; ++r) {
     if (r != rank_) {
-      co_await conduit_.am_send(r, kSegInfoHandler, mine);
+      co_await conduit_.am_send(r, kShmemSegInfoHandler, mine);
     }
   }
   co_await segments_gate_->wait();

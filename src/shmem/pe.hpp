@@ -48,13 +48,7 @@ namespace odcm::shmem {
 class ShmemJob;
 
 namespace detail {
-/// Conduit AM handler ids used by the OpenSHMEM layer.
-inline constexpr std::uint16_t kCollDataHandler = core::kFirstUserHandler;
-inline constexpr std::uint16_t kSegInfoHandler = core::kFirstUserHandler + 1;
-/// On-demand registration protocol (rkey faults / invalidations); only
-/// registered when `ShmemConfig::registration == kOnDemand`.
-inline constexpr std::uint16_t kRegHandler = core::kFirstUserHandler + 2;
-/// Collective kinds multiplexed over kCollDataHandler.
+/// Collective kinds multiplexed over core::kShmemCollDataHandler.
 inline constexpr std::uint8_t kBcastKind = 1;
 inline constexpr std::uint8_t kCollectKind = 2;
 inline constexpr std::uint8_t kReduceKind = 3;
@@ -295,7 +289,7 @@ class ShmemPe {
   /// hot-chunk rkey table; records `peer` as a sharer of every chunk sent.
   std::vector<std::byte> reg_piggyback_payload(RankId peer);
   void reg_consume_payload(RankId peer, std::span<const std::byte> payload);
-  /// kRegHandler dispatch: fault request/reply, invalidation, ack.
+  /// core::kShmemRegHandler dispatch: fault request/reply, invalidation, ack.
   sim::Task<> handle_reg_message(RankId src, std::vector<std::byte> payload);
   /// Resolve the rkey of `dst`'s chunk, faulting it in if cold. Coalesces
   /// concurrent faults on the same chunk.

@@ -86,11 +86,11 @@ void ShmemPe::reg_init() {
         RegPacket notice{RegMsgType::kInvalidate, chunk, rkey};
         std::vector<std::byte> bytes = notice.encode();
         for (RankId sharer : sharers) {
-          co_await conduit_.am_send(sharer, detail::kRegHandler, bytes);
+          co_await conduit_.am_send(sharer, core::kShmemRegHandler, bytes);
         }
       });
   conduit_.register_handler(
-      detail::kRegHandler,
+      core::kShmemRegHandler,
       [this](RankId src, std::vector<std::byte> payload) -> sim::Task<> {
         return handle_reg_message(src, std::move(payload));
       });
@@ -148,7 +148,7 @@ sim::Task<> ShmemPe::handle_reg_message(RankId src,
       fabric::MemoryRegion region =
           co_await reg_cache_->acquire(packet.chunk, src);
       RegPacket reply{RegMsgType::kFaultReply, packet.chunk, region.rkey};
-      co_await conduit_.am_send(src, detail::kRegHandler, reply.encode());
+      co_await conduit_.am_send(src, core::kShmemRegHandler, reply.encode());
       break;
     }
     case RegMsgType::kFaultReply: {
@@ -172,7 +172,7 @@ sim::Task<> ShmemPe::handle_reg_message(RankId src,
         stats().add("reg_stale_invalidations");
       }
       RegPacket ack{RegMsgType::kInvalidateAck, packet.chunk, packet.rkey};
-      co_await conduit_.am_send(src, detail::kRegHandler, ack.encode());
+      co_await conduit_.am_send(src, core::kShmemRegHandler, ack.encode());
       break;
     }
     case RegMsgType::kInvalidateAck:
@@ -203,7 +203,7 @@ sim::Task<fabric::RKey> ShmemPe::reg_rkey(RankId dst, std::uint32_t chunk) {
     sim::Time t0 = engine().now();
     RegPacket fault{RegMsgType::kFaultRequest, chunk, 0};
     try {
-      co_await conduit_.am_send(dst, detail::kRegHandler, fault.encode());
+      co_await conduit_.am_send(dst, core::kShmemRegHandler, fault.encode());
     } catch (...) {
       rkey_table_->abort_fault(dst, chunk);
       throw;

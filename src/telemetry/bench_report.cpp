@@ -1,5 +1,9 @@
 #include "telemetry/bench_report.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+
 namespace odcm::telemetry {
 
 void BenchReport::set_metrics_from(const MetricsRegistry& registry,
@@ -48,6 +52,99 @@ JsonValue BenchReport::to_json() const {
 void BenchReport::write(std::ostream& out) const {
   to_json().write(out, 2);
   out << "\n";
+}
+
+void BenchReport::print_tables(std::ostream& out) const {
+  // "<series>/<column>" overrides "<column>".
+  auto format = [this](const std::string& series, const std::string& column,
+                       double value) {
+    char buf[64];
+    auto it = decimals_.find(series + "/" + column);
+    if (it == decimals_.end()) it = decimals_.find(column);
+    if (it != decimals_.end()) {
+      std::snprintf(buf, sizeof buf, "%.*f", it->second, value);
+    } else if (value == std::trunc(value) && std::fabs(value) < 1e15) {
+      std::snprintf(buf, sizeof buf, "%.0f", value);  // counts, sizes, PEs
+    } else {
+      std::snprintf(buf, sizeof buf, "%g", value);
+    }
+    return std::string(buf);
+  };
+
+  out << bench_ << ": config";
+  for (const auto& [key, value] : config_.members()) {
+    out << " " << key << "="
+        << (value.kind() == JsonValue::Kind::kString ? value.as_string()
+                                                      : value.dump());
+  }
+  out << "\n";
+
+  std::vector<std::string> order;
+  for (const JsonValue& row : series_.items()) {
+    const std::string& name = row.find("name")->as_string();
+    if (std::find(order.begin(), order.end(), name) == order.end()) {
+      order.push_back(name);
+    }
+  }
+  for (const std::string& name : order) {
+    // Columns: x, the label if any row has one, then every value name in
+    // order of first appearance.
+    std::vector<const JsonValue*> rows;
+    bool labeled = false;
+    std::vector<std::string> columns{"x"};
+    for (const JsonValue& row : series_.items()) {
+      if (row.find("name")->as_string() != name) continue;
+      rows.push_back(&row);
+      labeled = labeled || row.find("label") != nullptr;
+      for (const auto& [column, value] : row.find("values")->members()) {
+        if (std::find(columns.begin(), columns.end(), column) ==
+            columns.end()) {
+          columns.push_back(column);
+        }
+      }
+    }
+    if (labeled) columns.insert(columns.begin() + 1, "label");
+
+    std::vector<std::vector<std::string>> cells;
+    cells.push_back(columns);
+    for (const JsonValue* row : rows) {
+      std::vector<std::string> line;
+      for (const std::string& column : columns) {
+        if (column == "x") {
+          line.push_back(format(name, "x", row->find("x")->as_double()));
+        } else if (column == "label") {
+          const JsonValue* label = row->find("label");
+          line.push_back(label != nullptr ? label->as_string() : "");
+        } else {
+          const JsonValue* value = row->find("values")->find(column);
+          line.push_back(value != nullptr
+                             ? format(name, column, value->as_double())
+                             : "-");
+        }
+      }
+      cells.push_back(std::move(line));
+    }
+    std::vector<std::size_t> widths(columns.size(), 0);
+    for (const auto& line : cells) {
+      for (std::size_t c = 0; c < line.size(); ++c) {
+        widths[c] = std::max(widths[c], line[c].size());
+      }
+    }
+    out << bench_ << ": " << name << "\n";
+    for (const auto& line : cells) {
+      for (std::size_t c = 0; c < line.size(); ++c) {
+        out << std::string(widths[c] + 2 - line[c].size(), ' ') << line[c];
+      }
+      out << "\n";
+    }
+  }
+  if (!metrics_.members().empty()) {
+    out << bench_ << ": metrics\n";
+    for (const auto& [name, value] : metrics_.members()) {
+      out << "  " << name << " = " << format("", name, value.as_double())
+          << "\n";
+    }
+  }
 }
 
 bool BenchReport::validate(const JsonValue& doc, std::string* error) {

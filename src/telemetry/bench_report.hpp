@@ -24,6 +24,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <map>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -62,11 +64,22 @@ class BenchReport {
                std::vector<std::pair<std::string, double>> values,
                const std::string& label = "");
 
+  /// Print each of `columns` (row value names, "x", or metric names; a
+  /// "<series>/<column>" entry applies to one series only) with `digits`
+  /// fixed decimals in `print_tables` (default: integers as integers,
+  /// anything else "%g"). Display only: the JSON keeps full precision.
+  void set_decimals(int digits, std::initializer_list<const char*> columns) {
+    for (const char* column : columns) decimals_[column] = digits;
+  }
+
   [[nodiscard]] const std::string& bench() const noexcept { return bench_; }
 
   [[nodiscard]] JsonValue to_json() const;
   /// Pretty-printed JSON document with trailing newline (the on-disk form).
   void write(std::ostream& out) const;
+  /// Human-readable form: the config on one line, one aligned table per
+  /// series (in order of first appearance), then the scalar metrics.
+  void print_tables(std::ostream& out) const;
 
   /// Validate a parsed document against the schema; on failure, `error`
   /// receives a description. Used by `bench/schema_check` and the tests.
@@ -78,6 +91,7 @@ class BenchReport {
   JsonValue config_ = JsonValue::object();
   JsonValue metrics_ = JsonValue::object();
   JsonValue series_ = JsonValue::array();
+  std::map<std::string, int> decimals_;
 };
 
 }  // namespace odcm::telemetry

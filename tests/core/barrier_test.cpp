@@ -1,6 +1,8 @@
 // Tests for the AM-tree global barrier and the intra-node barrier.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/conduit.hpp"
@@ -160,6 +162,30 @@ TEST(InitBarrier, FollowsConfiguredMode) {
   for (RankId r = 0; r < 8; ++r) {
     EXPECT_EQ(env.job.conduit(r).stats().counter("barriers_intranode"), 1);
     EXPECT_EQ(env.job.conduit(r).stats().counter("barriers_global"), 0);
+  }
+}
+
+TEST(GlobalBarrier, ZeroFanoutRejectedAtJobConstruction) {
+  // A zero fanout used to divide by zero inside the first barrier; it is a
+  // config error, reported when the job is built and naming the field.
+  ConduitConfig conduit = proposed_design();
+  conduit.barrier_fanout = 0;
+  sim::Engine engine;
+  try {
+    ConduitJob job(engine, small_job(8, 4, conduit));
+    FAIL() << "barrier_fanout = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("barrier_fanout"), std::string::npos)
+        << e.what();
+  }
+  // The default and the smallest valid fanout still run.
+  for (std::uint32_t fanout : {proposed_design().barrier_fanout, 1u}) {
+    conduit.barrier_fanout = fanout;
+    JobEnv env(small_job(8, 4, conduit));
+    env.run([](Conduit& c) -> sim::Task<> {
+      co_await c.init();
+      co_await c.barrier_global();
+    });
   }
 }
 

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/conduit.hpp"
+#include "shmem/job.hpp"
 #include "test_util.hpp"
 
 namespace odcm::core {
@@ -224,6 +225,61 @@ TEST(Eviction, RegisteredEndpointCountReflectsChurn) {
   Conduit& c0 = env.job.conduit(0);
   EXPECT_LE(c0.connected_peer_count(), 1u);
   EXPECT_GT(c0.stats().counter("qp_created_rc"), 4);  // churn recreated QPs
+}
+
+// Regression: with a cap below the working set, both ends of a connection
+// can pick each other as LRU victim in the same instant. The peer's
+// eviction notice then resolves our drain (retiring the QP) before our own
+// eviction task has sent its notice; that task must still notify the peer
+// over the retired QP instead of dereferencing the cleared slot.
+// Shape of ablation A6: 64 PEs at 8 per node, a 12-peer working set,
+// 3 rounds of puts, caps 16/8/4/2.
+TEST(Eviction, CapBelowWorkingSetLandsEveryPut) {
+  constexpr std::uint32_t kPes = 64;
+  constexpr std::uint32_t kWorkingSet = 12;
+  constexpr std::uint32_t kRounds = 3;
+  for (std::uint32_t cap : {16u, 8u, 4u, 2u}) {
+    shmem::ShmemJobConfig config;
+    config.job.ranks = kPes;
+    config.job.ranks_per_node = 8;
+    config.job.conduit = capped(cap);
+    config.shmem.heap_bytes = 64 << 10;
+    config.shmem.modeled_heap_bytes = 256ULL << 20;
+    sim::Engine engine;
+    shmem::ShmemJob job(engine, config);
+    shmem::SymAddr slot = 0;
+    job.run([&slot](shmem::ShmemPe& pe) -> sim::Task<> {
+      co_await pe.start_pes();
+      slot = pe.heap().allocate(8ULL * kPes, 8);
+      co_await pe.barrier_all();
+      for (std::uint32_t round = 0; round < kRounds; ++round) {
+        for (std::uint32_t k = 1; k <= kWorkingSet; ++k) {
+          RankId peer = (pe.rank() + k * 5) % kPes;
+          co_await pe.put_value<std::uint64_t>(peer, slot + 8ULL * pe.rank(),
+                                               round + 1);
+        }
+      }
+      co_await pe.finalize();
+    });
+
+    std::int64_t evictions = 0;
+    for (RankId r = 0; r < kPes; ++r) {
+      evictions += job.conduit_job().conduit(r).stats().counter(
+          "conn_evictions");
+      EXPECT_LE(job.conduit_job().conduit(r).connected_peer_count(), cap);
+      // Every writer's last round landed in its slot; nobody else wrote.
+      std::vector<bool> writes_here(kPes, false);
+      for (std::uint32_t k = 1; k <= kWorkingSet; ++k) {
+        writes_here[(r + kPes - (k * 5) % kPes) % kPes] = true;
+      }
+      for (RankId w = 0; w < kPes; ++w) {
+        EXPECT_EQ(job.pe(r).local_read<std::uint64_t>(slot + 8ULL * w),
+                  writes_here[w] ? kRounds : 0)
+            << "cap " << cap << " pe " << r << " writer " << w;
+      }
+    }
+    EXPECT_GT(evictions, 0) << "cap " << cap;
+  }
 }
 
 }  // namespace

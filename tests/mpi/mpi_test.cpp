@@ -289,5 +289,56 @@ TEST(Mpi, WtimeAdvances) {
   });
 }
 
+TEST(Mpi, HybridRingWithOnDemandRegistration) {
+  // MPI and the on-demand registration protocol each register an AM
+  // handler on the shared conduit; they used to collide on one id, so
+  // start_pes threw "duplicate id". Both layers now carry traffic: a
+  // byte-checked MPI ring plus a shmem put that takes an rkey fault.
+  constexpr std::uint32_t kRanks = 8;
+  constexpr std::size_t kBytes = 4096;
+  shmem::ShmemJobConfig config;
+  config.job.ranks = kRanks;
+  config.job.ranks_per_node = 2;
+  config.shmem.heap_bytes = 1 << 16;
+  config.shmem.registration = shmem::RegistrationMode::kOnDemand;
+  sim::Engine engine;
+  shmem::ShmemJob job(engine, config);
+  std::vector<std::unique_ptr<MpiComm>> comms;
+  for (RankId r = 0; r < kRanks; ++r) {
+    comms.push_back(std::make_unique<MpiComm>(job.conduit_job().conduit(r)));
+  }
+  auto pattern = [](RankId rank) {
+    std::vector<std::byte> bytes(kBytes);
+    for (std::size_t i = 0; i < kBytes; ++i) {
+      bytes[i] = static_cast<std::byte>((rank * 31 + i) & 0xff);
+    }
+    return bytes;
+  };
+  std::vector<int> ring_ok(kRanks, 0);
+  std::vector<std::uint64_t> landed(kRanks, 0);
+  job.run([&](shmem::ShmemPe& pe) -> sim::Task<> {
+    co_await pe.start_pes();
+    shmem::SymAddr slot = pe.heap().allocate(8, 8);
+    co_await pe.barrier_all();
+    MpiComm& comm = *comms[pe.rank()];
+    RankId right = (pe.rank() + 1) % kRanks;
+    RankId left = (pe.rank() + kRanks - 1) % kRanks;
+    co_await comm.send(right, 5, pattern(pe.rank()));
+    std::vector<std::byte> got = co_await comm.recv(left, 5);
+    ring_ok[pe.rank()] = got == pattern(left) ? 1 : 0;
+    co_await pe.put_value<std::uint64_t>(right, slot, 100 + pe.rank());
+    co_await pe.barrier_all();
+    landed[pe.rank()] = pe.local_read<std::uint64_t>(slot);
+    co_await pe.finalize();
+  });
+  for (RankId r = 0; r < kRanks; ++r) {
+    EXPECT_EQ(ring_ok[r], 1) << "rank " << r;
+    EXPECT_EQ(landed[r], 100 + (r + kRanks - 1) % kRanks) << "rank " << r;
+  }
+  EXPECT_GT(job.pe(0).stats().counter("reg_faults_served") +
+                job.pe(1).stats().counter("reg_faults_served"),
+            0);
+}
+
 }  // namespace
 }  // namespace odcm::mpi

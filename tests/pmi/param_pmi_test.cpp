@@ -10,6 +10,14 @@
 namespace odcm::pmi {
 namespace {
 
+/// "<prefix><n>", built by appending: GCC's -Wrestrict misfires on
+/// `const char* + std::string&&` once it is inlined into a coroutine.
+std::string tag(const char* prefix, std::uint64_t n) {
+  std::string s(prefix);
+  s += std::to_string(n);
+  return s;
+}
+
 using Geometry =
     std::tuple<std::uint32_t /*ranks*/, std::uint32_t /*ppn*/,
                std::uint32_t /*fanout*/>;
@@ -29,14 +37,14 @@ TEST_P(PmiGeometry, PutFenceGetAcrossAllRanks) {
     engine.spawn([](JobManager& jm, RankId r, std::uint32_t n,
                     int& bad) -> sim::Task<> {
       PmiClient& client = jm.client(r);
-      co_await client.put("key-" + std::to_string(r),
-                          "value-" + std::to_string(r * 3));
+      co_await client.put(tag("key-", r),
+                          tag("value-", r * 3));
       co_await client.fence();
       // Spot-check a shifted subset (full N^2 gets is the static bench).
       for (std::uint32_t k = 0; k < 4; ++k) {
         RankId peer = (r + k * 7 + 1) % n;
-        auto value = co_await client.get("key-" + std::to_string(peer));
-        if (!value || *value != "value-" + std::to_string(peer * 3)) {
+        auto value = co_await client.get(tag("key-", peer));
+        if (!value || *value != tag("value-", peer * 3)) {
           ++bad;
         }
       }
@@ -99,7 +107,7 @@ TEST(PmiCostProperties, FenceGrowsWithRanks) {
     for (RankId rank = 0; rank < ranks; ++rank) {
       engine.spawn([](JobManager& jm, RankId r) -> sim::Task<> {
         PmiClient& client = jm.client(r);
-        co_await client.put("k" + std::to_string(r), std::string(64, 'x'));
+        co_await client.put(tag("k", r), std::string(64, 'x'));
         co_await client.fence();
       }(manager, rank));
     }

@@ -30,8 +30,8 @@ TEST(JobManager, NodeMapping) {
   EXPECT_EQ(env.manager->node_of(1), 0u);
   EXPECT_EQ(env.manager->node_of(2), 1u);
   EXPECT_EQ(env.manager->node_of(7), 3u);
-  EXPECT_THROW(env.manager->node_of(8), std::out_of_range);
-  EXPECT_THROW(env.manager->client(8), std::out_of_range);
+  EXPECT_THROW((void)env.manager->node_of(8), std::out_of_range);
+  EXPECT_THROW((void)env.manager->client(8), std::out_of_range);
 }
 
 TEST(JobManager, RejectsBadConfig) {

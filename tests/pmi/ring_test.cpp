@@ -7,6 +7,14 @@
 namespace odcm::pmi {
 namespace {
 
+/// "<prefix><n>", built by appending: GCC's -Wrestrict misfires on
+/// `const char* + std::string&&` once it is inlined into a coroutine.
+std::string tag(const char* prefix, std::uint64_t n) {
+  std::string s(prefix);
+  s += std::to_string(n);
+  return s;
+}
+
 struct Env {
   explicit Env(std::uint32_t ranks, std::uint32_t ppn = 2) {
     PmiConfig config;
@@ -25,11 +33,11 @@ TEST(PmixRing, DeliversBothNeighbors) {
   for (RankId rank = 0; rank < kRanks; ++rank) {
     env.engine.spawn([](JobManager& jm, RankId r, int& bad) -> sim::Task<> {
       auto [left, right] =
-          co_await jm.client(r).ring("v" + std::to_string(r));
+          co_await jm.client(r).ring(tag("v", r));
       RankId expect_left = (r + kRanks - 1) % kRanks;
       RankId expect_right = (r + 1) % kRanks;
-      if (left != "v" + std::to_string(expect_left)) ++bad;
-      if (right != "v" + std::to_string(expect_right)) ++bad;
+      if (left != tag("v", expect_left)) ++bad;
+      if (right != tag("v", expect_right)) ++bad;
     }(*env.manager, rank, failures));
   }
   env.engine.run();
@@ -84,8 +92,8 @@ TEST(PmixRing, SuccessiveRoundsIndependent) {
   int failures = 0;
   for (RankId rank = 0; rank < 3; ++rank) {
     env.engine.spawn([](JobManager& jm, RankId r, int& bad) -> sim::Task<> {
-      auto [l1, r1] = co_await jm.client(r).ring("x" + std::to_string(r));
-      auto [l2, r2] = co_await jm.client(r).ring("y" + std::to_string(r));
+      auto [l1, r1] = co_await jm.client(r).ring(tag("x", r));
+      auto [l2, r2] = co_await jm.client(r).ring(tag("y", r));
       if (l1[0] != 'x' || r1[0] != 'x') ++bad;
       if (l2[0] != 'y' || r2[0] != 'y') ++bad;
     }(*env.manager, rank, failures));

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "shmem/job.hpp"
@@ -196,6 +198,34 @@ TEST(Collectives, WorkIdenticallyUnderStaticDesign) {
     }
     EXPECT_EQ(pe.local_read<std::int64_t>(sum), 7 * (0 + 1 + 2 + 3 + 4 + 5 + 6 + 7));
   }));
+}
+
+TEST(Reduce, ZeroCollectiveFanoutRejectedAtJobConstruction) {
+  // A zero fanout used to kill the first tree collective with SIGFPE; it is
+  // a config error, reported when the job is built and naming the field.
+  ShmemJobConfig config = small_job(8, 4);
+  config.shmem.collective_fanout = 0;
+  sim::Engine engine;
+  try {
+    ShmemJob job(engine, config);
+    FAIL() << "collective_fanout = 0 was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("collective_fanout"),
+              std::string::npos)
+        << e.what();
+  }
+  // The default and the smallest valid fanout still reduce correctly.
+  for (std::uint32_t fanout : {ShmemConfig{}.collective_fanout, 1u}) {
+    config.shmem.collective_fanout = fanout;
+    JobEnv env(config);
+    env.run(with_init([](ShmemPe& pe) -> sim::Task<> {
+      SymAddr src = pe.heap().allocate(8, 8);
+      SymAddr dest = pe.heap().allocate(8, 8);
+      pe.local_write<std::int64_t>(src, pe.rank() + 1);
+      co_await pe.reduce<std::int64_t>(dest, src, 1, ReduceOp::kSum);
+      EXPECT_EQ(pe.local_read<std::int64_t>(dest), 36);
+    }));
+  }
 }
 
 }  // namespace

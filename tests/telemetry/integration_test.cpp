@@ -4,7 +4,8 @@
 //    BENCH-schema JSON and Chrome traces;
 //  * zero-cost-off — a run with telemetry attached (or disabled) has
 //    bit-identical virtual times to a bare run;
-//  * the BENCH_*.json emitter and validator agree.
+//  * the BENCH_*.json emitter and validator agree, and its table printer
+//    lays rows out at the chosen precision.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -168,6 +169,32 @@ TEST(BenchReport, ValidatorRejectsBrokenDocuments) {
   EXPECT_FALSE(invalid(R"({"schema":"odcm-bench","schema_version":1,)"
                        R"("bench":"b","config":{},"seed":1,"metrics":{},)"
                        R"("series":[{"name":"s","x":1,"values":{"v":2}}]})"));
+}
+
+TEST(BenchReport, PrintTablesAlignsSeriesAtChosenPrecision) {
+  BenchReport report("demo", 1);
+  report.set_config("pes", std::int64_t{64});
+  report.add_row("loss", 0.1, {{"wall_s", 1.91849}, {"count", 495}});
+  report.add_row("loss", 0.5, {{"wall_s", 2.48251}, {"count", 5900}});
+  report.add_row("tiers", 0, {{"us", 22.184}}, "eager");
+  report.add_row("tiers", 1, {{"us", 1048576}});
+  report.set_metric("ratio", 3.14159);
+  report.set_decimals(3, {"wall_s"});
+  report.set_decimals(2, {"loss/x"});
+  std::ostringstream out;
+  report.print_tables(out);
+  EXPECT_EQ(out.str(),
+            "demo: config pes=64\n"
+            "demo: loss\n"
+            "     x  wall_s  count\n"
+            "  0.10   1.918    495\n"
+            "  0.50   2.483   5900\n"
+            "demo: tiers\n"
+            "  x  label       us\n"
+            "  0  eager   22.184\n"
+            "  1         1048576\n"
+            "demo: metrics\n"
+            "  ratio = 3.14159\n");
 }
 
 }  // namespace
