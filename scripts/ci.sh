@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 tests, the fault-injection torture suite, and an
-# ASan+UBSan build of the same. Usage: scripts/ci.sh [build-dir-prefix]
+# CI entry point: tier-1 tests, the fault-injection torture suite, the
+# perfbench virtual-digest guard, and an ASan+UBSan build of the same.
+# Usage: scripts/ci.sh [build-dir-prefix]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -54,6 +55,22 @@ ctest --test-dir "${prefix}" --output-on-failure -L schedule
 "${prefix}/bench/check_sweep" --seeds 3 --schedule-seeds 4 \
   --schedule-jitter 300 \
   --json "${prefix}/bench-artifacts/CHECK_schedule_jitter_sweep.json"
+
+echo "==> host benchmark digest guard (perfbench)"
+# Host-side optimisations must leave virtual results alone: each workload's
+# virtual digest has to match perfbench/reference.json ("correct": true).
+for workload in startup collective hybrid; do
+  result="$(CARGO_TARGET_DIR="${prefix}/perfbench-target" python3 \
+    perfbench/run.py --workload "${workload}" --seed 0 --seconds 1 \
+    --trace 0 | tail -n 1)"
+  echo "${workload}: ${result}"
+  if ! python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+      "${result}"; then
+    echo "perfbench ${workload}: digest does not match the reference" >&2
+    exit 1
+  fi
+done
 
 echo "==> archiving bench artifacts"
 # Includes BENCH_*.json (schema-checked, deterministic), CHECK_sweep.json,

@@ -105,8 +105,7 @@ sim::Task<> Conduit::stream_fragments(RankId dst, bool is_get,
         "Conduit: rendezvous ranges cover " + std::to_string(covered) +
         " of " + std::to_string(expected) + " bytes");
   }
-  const std::uint64_t chunk =
-      std::max<std::uint64_t>(1, config().bulk_chunk_bytes);
+  const std::uint64_t chunk = config().bulk_chunk_bytes;
   const std::uint32_t window =
       config().qp_credits > 0 ? config().qp_credits : 4;
   auto state = std::make_shared<StreamState>(engine());

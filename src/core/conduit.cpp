@@ -180,8 +180,8 @@ sim::Task<> Conduit::srq_listener() {
     auto message = co_await srq.pop_or_closed();
     if (!message) break;
     co_await engine().delay(config().am_handler_overhead);
-    // Consume the delivered buffer in place: the AM payload reuses it
-    // instead of being copied out (fast-path allocation churn).
+    // Consume the delivered buffer in place: the handler receives the
+    // sender's own buffer with the trailer truncated off (DESIGN.md §5.18).
     co_await dispatch_am(AmPacket::decode_consume(std::move(message->payload)),
                          message->src_qpn);
   }
@@ -266,10 +266,10 @@ sim::Task<> Conduit::am_send(RankId dst, std::uint16_t handler,
       credit = co_await acquire_credit(dst);
       if (!credit) continue;  // connection torn down during the stall
     }
-    AmPacket packet{handler, rank_, std::move(payload)};
+    AmPacket::seal(payload, handler, rank_);
     fabric::Completion wc;
     try {
-      wc = co_await qp->send(packet.encode());
+      wc = co_await qp->send(std::move(payload));
     } catch (...) {
       // Return the credit on exceptional completion too, or the peer's
       // window shrinks forever and the finalize conservation audit fails.
@@ -319,11 +319,10 @@ sim::Task<> Conduit::shm_export(fabric::AddressSpace& space,
 sim::Task<> Conduit::shm_am_send(RankId dst, std::uint16_t handler,
                                  std::vector<std::byte> payload) {
   const fabric::FabricConfig& fcfg = job_.fabric().config();
-  AmPacket packet{handler, rank_, std::move(payload)};
-  std::vector<std::byte> bytes = packet.encode();
+  AmPacket::seal(payload, handler, rank_);
   co_await engine().delay(
       fcfg.shm_am_overhead + fcfg.shm_copy_latency +
-      static_cast<sim::Time>(static_cast<double>(bytes.size()) /
+      static_cast<sim::Time>(static_cast<double>(payload.size()) /
                              fcfg.shm_bytes_per_ns));
   mark_shm_peer(dst);
   stats_.add("am_sent");
@@ -332,7 +331,7 @@ sim::Task<> Conduit::shm_am_send(RankId dst, std::uint16_t handler,
   // dispatch (and its software overhead) stays transport-independent.
   // src_qpn 0 marks a connectionless origin.
   hca().srq(dst).push(
-      fabric::RcMessage{.src_lid = hca().lid(), .payload = std::move(bytes)});
+      fabric::RcMessage{.src_lid = hca().lid(), .payload = std::move(payload)});
 }
 
 sim::Task<fabric::Completion> Conduit::shm_put(RankId dst,

@@ -179,7 +179,10 @@ class Conduit {
 
   /// Send an active message; establishes the connection on demand.
   /// Same-node destinations are routed over the shm transport when
-  /// `intranode_transport == kShm` (no connection involved).
+  /// `intranode_transport == kShm` (no connection involved). `payload` is
+  /// sealed in place and handed to the receiving handler as the same
+  /// buffer; reserve `AmPacket::kTrailerSize` spare bytes to keep the
+  /// seal from reallocating.
   [[nodiscard]] sim::Task<> am_send(RankId dst, std::uint16_t handler,
                                     std::vector<std::byte> payload);
 

@@ -103,9 +103,12 @@ struct ConduitConfig {
   std::uint64_t eager_threshold = 0;
   /// Transfers larger than this negotiate an RTS/CTS rendezvous before any
   /// data moves, letting the target post (and, in on-demand registration
-  /// mode, pin) the sink first. 0 = rendezvous disabled.
+  /// mode, pin) the sink first. 0 = rendezvous disabled. When both
+  /// thresholds are set it must exceed `eager_threshold` (ConduitJob
+  /// rejects a config whose pipelined tier is empty).
   std::uint64_t rendezvous_threshold = 0;
-  /// Fragment size of the pipelined and rendezvous data streams.
+  /// Fragment size of the pipelined and rendezvous data streams; must be
+  /// nonzero when tiering is enabled (checked by ConduitJob).
   std::uint64_t bulk_chunk_bytes = 65536;
   /// Credit-based flow control per established QP: credits granted when the
   /// connection reaches kConnected, consumed per send toward the peer,

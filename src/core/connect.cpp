@@ -520,8 +520,9 @@ sim::Task<> Conduit::evict_connection(RankId victim, fabric::QueuePair* qp) {
     // then null). The notice still goes out over the retired QP, which
     // stays alive until reclaim_retired sees its work queue empty: the
     // peer is draining the same epoch and resolves it on our notice.
-    AmPacket notice{/*handler=*/2, rank_, {}};
-    (void)co_await qp->send(notice.encode());
+    std::vector<std::byte> notice;
+    AmPacket::seal(notice, /*handler=*/2, rank_);
+    (void)co_await qp->send(std::move(notice));
     // While the notice was in flight the drain may already have resolved
     // (symmetric eviction, or the peer's re-request doubling as the ack);
     // those paths retire the QP themselves and a new epoch may own p.qp.
@@ -594,8 +595,9 @@ void Conduit::perform_passive_drain(RankId src) {
   ++pending_evictions_;
   engine().spawn([](Conduit& c, RankId src, fabric::QueuePair* qp)
                      -> sim::Task<> {
-    AmPacket ack{/*handler=*/3, c.rank_, {}};
-    (void)co_await qp->send(ack.encode());
+    std::vector<std::byte> ack;
+    AmPacket::seal(ack, /*handler=*/3, c.rank_);
+    (void)co_await qp->send(std::move(ack));
     c.reclaim_retired(c.peer(src));
     --c.pending_evictions_;
     if (c.pending_evictions_ == 0 && c.evictions_settled_) {

@@ -16,6 +16,20 @@ ConduitJob::ConduitJob(sim::Engine& engine, JobConfig config)
     throw std::invalid_argument(
         "ConduitJob: conduit.barrier_fanout must be >= 1");
   }
+  const ConduitConfig& cc = config_.conduit;
+  if (cc.eager_threshold != 0 && cc.rendezvous_threshold != 0 &&
+      cc.rendezvous_threshold <= cc.eager_threshold) {
+    // select_tier tests the rendezvous bound first, so the pipelined tier
+    // (eager_threshold, rendezvous_threshold] would be empty.
+    throw std::invalid_argument(
+        "ConduitJob: conduit.rendezvous_threshold must exceed "
+        "conduit.eager_threshold when both are set");
+  }
+  if (cc.tiering_enabled() && cc.bulk_chunk_bytes == 0) {
+    throw std::invalid_argument(
+        "ConduitJob: conduit.bulk_chunk_bytes must be >= 1 when tiering is "
+        "enabled");
+  }
   std::uint32_t nodes = (config_.ranks + config_.ranks_per_node - 1) /
                         config_.ranks_per_node;
   config_.fabric.nodes = nodes;

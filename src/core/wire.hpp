@@ -164,49 +164,64 @@ struct ConnectPacket {
   }
 };
 
-/// Active message carried over an RC connection.
+/// Active message carried over an RC connection or the shm transport.
+///
+/// Wire layout: `payload | handler (u16) | src_rank (u32)`. The 6-byte
+/// addressing fields trail the payload so one buffer travels from
+/// `Conduit::am_send` to the handler (DESIGN.md §5.18): the sender appends
+/// the trailer in place (`seal`) and the receiver truncates it in place
+/// (`decode_consume`), so neither end moves the payload. Senders that
+/// build a payload reserve `kTrailerSize` spare bytes so sealing does not
+/// reallocate.
 struct AmPacket {
-  /// Bytes of header (handler + src_rank) preceding the payload on the wire.
-  static constexpr std::size_t kHeaderSize = 2 + 4;
+  /// Bytes of trailer (handler + src_rank) following the payload.
+  static constexpr std::size_t kTrailerSize = 2 + 4;
 
   std::uint16_t handler = 0;
   fabric::RankId src_rank = 0;
   std::vector<std::byte> payload{};
 
-  void encode_into(std::vector<std::byte>& out) const {
-    wire::require_encodable(payload.size());
-    out.clear();
-    out.reserve(kHeaderSize + payload.size());
-    wire::put_int<std::uint16_t>(out, handler);
-    wire::put_int<std::uint32_t>(out, src_rank);
-    wire::put_bytes(out, payload);
+  /// Turn `buf` (the payload) into a wire frame by appending the trailer.
+  static void seal(std::vector<std::byte>& buf, std::uint16_t handler,
+                   fabric::RankId src_rank) {
+    wire::require_encodable(buf.size());
+    wire::put_int<std::uint16_t>(buf, handler);
+    wire::put_int<std::uint32_t>(buf, src_rank);
   }
 
+  /// Copying encoder; the send path seals the caller's buffer instead.
   [[nodiscard]] std::vector<std::byte> encode() const {
     std::vector<std::byte> out;
-    encode_into(out);
+    out.reserve(payload.size() + kTrailerSize);
+    out.assign(payload.begin(), payload.end());
+    seal(out, handler, src_rank);
     return out;
   }
 
   static AmPacket decode(std::span<const std::byte> data) {
-    wire::Reader reader(data);
-    AmPacket packet;
-    packet.handler = reader.read_int<std::uint16_t>();
-    packet.src_rank = reader.read_int<std::uint32_t>();
-    packet.payload = reader.read_rest();
+    AmPacket packet = read_trailer(data);
+    packet.payload.assign(data.begin(), data.end() - kTrailerSize);
     return packet;
   }
 
-  /// Decode by consuming `data` in place: the payload reuses the delivered
-  /// message buffer (header erased from the front) instead of copying it.
+  /// Decode by consuming `data` in place: the trailer is truncated off and
+  /// the payload is the delivered buffer itself (same storage, no copy).
   static AmPacket decode_consume(std::vector<std::byte>&& data) {
-    wire::Reader reader(data);
+    AmPacket packet = read_trailer(data);
+    data.resize(data.size() - kTrailerSize);
+    packet.payload = std::move(data);
+    return packet;
+  }
+
+ private:
+  static AmPacket read_trailer(std::span<const std::byte> data) {
+    if (data.size() < kTrailerSize) {
+      throw std::runtime_error("AmPacket: truncated frame");
+    }
+    wire::Reader reader(data.last(kTrailerSize));
     AmPacket packet;
     packet.handler = reader.read_int<std::uint16_t>();
     packet.src_rank = reader.read_int<std::uint32_t>();
-    data.erase(data.begin(),
-               data.begin() + static_cast<std::ptrdiff_t>(kHeaderSize));
-    packet.payload = std::move(data);
     return packet;
   }
 };

@@ -32,10 +32,14 @@ sim::Task<> MpiComm::handle_message(RankId src,
   core::wire::Reader reader(payload);
   auto tag = reader.read_int<std::uint64_t>();
   if (tag >= kCtrlBase) {
-    co_await handle_ctrl(src, tag, reader.read_rest());
+    co_await handle_ctrl(src, tag,
+                         std::span<const std::byte>(payload).subspan(8));
     co_return;
   }
-  std::vector<std::byte> data = reader.read_rest();
+  // The delivered buffer becomes the received message: shifting the body
+  // over the tag is its one copy, and it allocates nothing.
+  std::vector<std::byte> data = std::move(payload);
+  data.erase(data.begin(), data.begin() + 8);
   if (conduit_.config().tiering_enabled() && !data.empty()) {
     // Eager bounce-buffer copy: with tiering on, the receiver pays to move
     // the payload from the bounce buffer into the posted buffer — the cost
@@ -60,9 +64,9 @@ sim::Task<> MpiComm::handle_message(RankId src,
 }
 
 sim::Task<> MpiComm::handle_ctrl(RankId src, std::uint64_t tag,
-                                 std::vector<std::byte> payload) {
+                                 std::span<const std::byte> body) {
   if (tag == kCtrlRts) {
-    core::RendezvousPacket rts = core::RendezvousPacket::decode(payload);
+    core::RendezvousPacket rts = core::RendezvousPacket::decode(body);
     if (rts.len > core::wire::kMaxWirePayload) {
       // Bound the reassembly reservation like the other wire decoders
       // bound their length fields: a corrupt RTS must not force a huge
@@ -81,10 +85,10 @@ sim::Task<> MpiComm::handle_ctrl(RankId src, std::uint64_t tag,
         conduit_.config().qp_credits > 0 ? conduit_.config().qp_credits : 4;
     co_await send_credit(src, rts.seq, window);
   } else if (tag == kCtrlData) {
-    core::wire::Reader reader(payload);
+    core::wire::Reader reader(body);
     auto seq = reader.read_int<std::uint32_t>();
     auto frag = reader.read_int<std::uint32_t>();
-    std::vector<std::byte> bytes = reader.read_rest();
+    std::span<const std::byte> bytes = body.subspan(4 + 4);
     auto it = recv_rdv_.find({src, seq});
     if (it == recv_rdv_.end()) {
       throw std::runtime_error("MpiComm: data fragment without an RTS");
@@ -116,7 +120,7 @@ sim::Task<> MpiComm::handle_ctrl(RankId src, std::uint64_t tag,
       finish_delivery(src, slot);
     }
   } else if (tag == kCtrlCredit) {
-    core::CreditPacket grant = core::CreditPacket::decode(payload);
+    core::CreditPacket grant = core::CreditPacket::decode(body);
     auto it = send_rdv_.find(grant.seq);
     if (it == send_rdv_.end()) {
       conduit_.stats().add("mpi_rdv_stale_credits");
@@ -170,7 +174,7 @@ sim::Task<> MpiComm::send_tagged(RankId dst, std::uint64_t tag,
     co_return;
   }
   std::vector<std::byte> message;
-  message.reserve(8 + data.size());
+  message.reserve(8 + data.size() + core::AmPacket::kTrailerSize);
   core::wire::put_int<std::uint64_t>(message, tag);
   message.insert(message.end(), data.begin(), data.end());
   co_await conduit_.am_send(dst, core::kMpiHandler, std::move(message));
@@ -199,8 +203,8 @@ sim::Task<> MpiComm::send_rendezvous(RankId dst, std::uint64_t tag,
     co_await conduit_.am_send(dst, core::kMpiHandler, std::move(message));
   }
   co_await state->cts.wait();
-  const auto chunk = static_cast<std::size_t>(
-      std::max<std::uint64_t>(1, conduit_.config().bulk_chunk_bytes));
+  const auto chunk =
+      static_cast<std::size_t>(conduit_.config().bulk_chunk_bytes);
   std::uint32_t frag = 0;
   for (std::size_t off = 0; off < data.size(); off += chunk) {
     while (state->credits == 0) {
@@ -213,7 +217,7 @@ sim::Task<> MpiComm::send_rendezvous(RankId dst, std::uint64_t tag,
     --state->credits;
     const std::size_t take = std::min(chunk, data.size() - off);
     std::vector<std::byte> message;
-    message.reserve(16 + take);
+    message.reserve(16 + take + core::AmPacket::kTrailerSize);
     core::wire::put_int<std::uint64_t>(message, kCtrlData);
     core::wire::put_int<std::uint32_t>(message, seq);
     core::wire::put_int<std::uint32_t>(message, frag++);

@@ -193,8 +193,10 @@ class MpiComm {
 
   sim::Task<std::vector<std::byte>> wait_impl(Request request);
   sim::Task<> handle_message(RankId src, std::vector<std::byte> payload);
+  /// `body` is the message past its tag; it points into the caller's
+  /// payload, which outlives the call.
   sim::Task<> handle_ctrl(RankId src, std::uint64_t tag,
-                          std::vector<std::byte> payload);
+                          std::span<const std::byte> body);
   Match& matchbox(RankId src, std::uint64_t tag);
   void reclaim_matchbox(const MatchKey& key);
   void finish_delivery(RankId src, const std::shared_ptr<sim::Gate>& slot);

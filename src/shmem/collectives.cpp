@@ -7,7 +7,10 @@
 // Every collective operation is keyed by (kind, per-PE sequence number);
 // since the operations are collective, the sequence numbers align across
 // PEs and data for distinct operations cannot mix.
+#include <algorithm>
 #include <cstring>
+#include <optional>
+#include <span>
 
 #include "shmem/job.hpp"
 #include "shmem/pe.hpp"
@@ -22,13 +25,21 @@ using detail::kCollectKind;
 using detail::kReduceKind;
 
 ShmemPe::CollectState& ShmemPe::collect_state(std::uint64_t key) {
-  auto it = coll_states_.find(key);
-  if (it == coll_states_.end()) {
-    it = coll_states_
-             .emplace(key, std::make_unique<CollectState>(engine()))
-             .first;
+  for (auto& [k, state] : coll_states_) {
+    if (k == key) return *state;
   }
-  return *it->second;
+  coll_states_.emplace_back(key, std::make_unique<CollectState>(engine()));
+  return *coll_states_.back().second;
+}
+
+void ShmemPe::drop_collect_state(std::uint64_t key) {
+  for (auto& entry : coll_states_) {
+    if (entry.first == key) {
+      entry = std::move(coll_states_.back());
+      coll_states_.pop_back();
+      return;
+    }
+  }
 }
 
 sim::Task<> ShmemPe::handle_coll_data(RankId /*src*/,
@@ -36,20 +47,72 @@ sim::Task<> ShmemPe::handle_coll_data(RankId /*src*/,
   core::wire::Reader reader(payload);
   auto kind = reader.read_int<std::uint8_t>();
   auto seq = reader.read_int<std::uint64_t>();
-  collect_state(coll_key(kind, seq)).chunks.push(reader.read_rest());
+  collect_state(coll_key(kind, seq)).chunks.push(std::move(payload));
   co_return;
 }
 
 namespace {
 
-std::vector<std::byte> coll_header(std::uint8_t kind, std::uint64_t seq) {
+/// Every collective frame opens with `kind (u8) | seq (u64)`.
+constexpr std::size_t kCollHeaderSize = 1 + 8;
+
+/// A frame `kind | seq | [idx (u32) |] body`, allocated once with room for
+/// the AM trailer so `am_send`'s seal does not reallocate.
+std::vector<std::byte> coll_frame(std::uint8_t kind, std::uint64_t seq,
+                                  std::optional<std::uint32_t> idx,
+                                  std::span<const std::byte> body) {
   std::vector<std::byte> out;
+  out.reserve(kCollHeaderSize + (idx ? 4 : 0) + body.size() +
+              core::AmPacket::kTrailerSize);
   core::wire::put_u8(out, kind);
   core::wire::put_int<std::uint64_t>(out, seq);
+  if (idx) core::wire::put_int<std::uint32_t>(out, *idx);
+  core::wire::put_bytes(out, body);
   return out;
 }
 
+/// A copy of `frame` for one more destination, trailer room included.
+std::vector<std::byte> copy_frame(const std::vector<std::byte>& frame) {
+  std::vector<std::byte> out;
+  out.reserve(frame.size() + core::AmPacket::kTrailerSize);
+  out.assign(frame.begin(), frame.end());
+  return out;
+}
+
+/// A received frame past its `kind | seq` header.
+std::span<const std::byte> frame_body(const std::vector<std::byte>& frame) {
+  return std::span<const std::byte>(frame).subspan(kCollHeaderSize);
+}
+
+/// The parts of a received indexed frame (`kind | seq | idx | block`).
+struct IndexedBlock {
+  std::uint32_t idx;
+  std::span<const std::byte> block;
+};
+
+IndexedBlock read_indexed(const std::vector<std::byte>& frame) {
+  std::span<const std::byte> body = frame_body(frame);
+  auto idx = core::wire::Reader(body).read_int<std::uint32_t>();
+  return {idx, body.subspan(4)};
+}
+
 }  // namespace
+
+sim::Task<> ShmemPe::send_down_tree(std::uint32_t vrank, RankId root,
+                                    std::vector<std::byte> frame) {
+  const std::uint32_t n = n_pes();
+  const std::uint32_t fanout = config().collective_fanout;
+  const std::uint64_t first = static_cast<std::uint64_t>(vrank) * fanout + 1;
+  const std::uint64_t end = std::min<std::uint64_t>(first + fanout, n);
+  for (std::uint64_t child = first; child < end; ++child) {
+    const auto dst = static_cast<RankId>((child + root) % n);
+    // Kept out of the co_await operand: GCC 12 mis-evaluates a
+    // conditional expression there and sends the moved-from buffer.
+    std::vector<std::byte> message =
+        child + 1 == end ? std::move(frame) : copy_frame(frame);
+    co_await conduit_.am_send(dst, kShmemCollDataHandler, std::move(message));
+  }
+}
 
 sim::Task<> ShmemPe::broadcast(RankId root, SymAddr addr, std::uint32_t len) {
   stats().add("shmem_broadcast");
@@ -57,28 +120,24 @@ sim::Task<> ShmemPe::broadcast(RankId root, SymAddr addr, std::uint32_t len) {
   if (n == 1) co_return;
   const std::uint64_t seq = bcast_seq_++;
   const std::uint64_t key = coll_key(kBcastKind, seq);
-  const std::uint32_t fanout = config().collective_fanout;
   const std::uint32_t vrank = (rank_ + n - root) % n;
 
+  // A non-root forwards the frame it received: its body is the data just
+  // placed in the local window.
+  std::vector<std::byte> message;
   if (vrank != 0) {
-    std::vector<std::byte> data = co_await collect_state(key).chunks.pop();
+    message = co_await collect_state(key).chunks.pop();
+    std::span<const std::byte> data = frame_body(message);
     if (data.size() != len) {
       throw std::runtime_error("ShmemPe::broadcast: length mismatch");
     }
     auto window = local_window(addr, len);
     std::copy(data.begin(), data.end(), window.begin());
+  } else {
+    message = coll_frame(kBcastKind, seq, std::nullopt, local_window(addr, len));
   }
-
-  std::vector<std::byte> message = coll_header(kBcastKind, seq);
-  auto window = local_window(addr, len);
-  message.insert(message.end(), window.begin(), window.end());
-  for (std::uint32_t c = 1; c <= fanout; ++c) {
-    std::uint64_t child = static_cast<std::uint64_t>(vrank) * fanout + c;
-    if (child >= n) break;
-    co_await conduit_.am_send((static_cast<RankId>(child) + root) % n,
-                              kShmemCollDataHandler, message);
-  }
-  coll_states_.erase(key);
+  co_await send_down_tree(vrank, root, std::move(message));
+  drop_collect_state(key);
 }
 
 sim::Task<> ShmemPe::fcollect(SymAddr dest, SymAddr src,
@@ -97,30 +156,25 @@ sim::Task<> ShmemPe::fcollect(SymAddr dest, SymAddr src,
   const std::uint64_t seq = collect_seq_++;
   const std::uint64_t key = coll_key(kCollectKind, seq);
   const RankId right = (rank_ + 1) % n;
+  CollectState& state = collect_state(key);
 
-  std::uint32_t send_idx = rank_;
-  auto first = local_window(src, block_len);
-  std::vector<std::byte> current(first.begin(), first.end());
-
+  // Ring step: send a frame right, take one from the left. A frame's
+  // (kind, seq, origin idx, block) are the same at every hop, so after
+  // placing the block a PE forwards the received frame as is.
+  std::vector<std::byte> message =
+      coll_frame(kCollectKind, seq, rank_, local_window(src, block_len));
   for (std::uint32_t step = 0; step + 1 < n; ++step) {
-    std::vector<std::byte> message = coll_header(kCollectKind, seq);
-    core::wire::put_int<std::uint32_t>(message, send_idx);
-    message.insert(message.end(), current.begin(), current.end());
     co_await conduit_.am_send(right, kShmemCollDataHandler, std::move(message));
-
-    std::vector<std::byte> incoming = co_await collect_state(key).chunks.pop();
-    core::wire::Reader reader(incoming);
-    auto idx = reader.read_int<std::uint32_t>();
-    current = reader.read_rest();
-    if (current.size() != block_len || idx >= n) {
+    message = co_await state.chunks.pop();
+    auto [idx, block] = read_indexed(message);
+    if (block.size() != block_len || idx >= n) {
       throw std::runtime_error("ShmemPe::fcollect: bad chunk");
     }
     auto target = local_window(
         dest + static_cast<std::uint64_t>(idx) * block_len, block_len);
-    std::copy(current.begin(), current.end(), target.begin());
-    send_idx = idx;
+    std::copy(block.begin(), block.end(), target.begin());
   }
-  coll_states_.erase(key);
+  drop_collect_state(key);
 }
 
 sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
@@ -130,29 +184,27 @@ sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
   std::vector<std::uint32_t> lengths(n, 0);
   lengths[rank_] = my_len;
 
+  // Both passes are ring allgathers forwarding the received frame as is
+  // (see fcollect).
   if (n > 1) {
     // Pass 1: ring-allgather the lengths (plain AM payloads, no symmetric
     // scratch memory needed).
     const std::uint64_t seq = collect_seq_++;
     const std::uint64_t key = coll_key(kCollectKind, seq);
     const RankId right = (rank_ + 1) % n;
-    std::uint32_t send_idx = rank_;
+    CollectState& state = collect_state(key);
+    std::vector<std::byte> message =
+        coll_frame(kCollectKind, seq, rank_,
+                   std::as_bytes(std::span<const std::uint32_t>(&my_len, 1)));
     for (std::uint32_t step = 0; step + 1 < n; ++step) {
-      std::vector<std::byte> message = coll_header(kCollectKind, seq);
-      core::wire::put_int<std::uint32_t>(message, send_idx);
-      core::wire::put_int<std::uint32_t>(message, lengths[send_idx]);
       co_await conduit_.am_send(right, kShmemCollDataHandler,
                                 std::move(message));
-      std::vector<std::byte> incoming =
-          co_await collect_state(key).chunks.pop();
-      core::wire::Reader reader(incoming);
-      auto idx = reader.read_int<std::uint32_t>();
-      auto len = reader.read_int<std::uint32_t>();
+      message = co_await state.chunks.pop();
+      auto [idx, block] = read_indexed(message);
       if (idx >= n) throw std::runtime_error("ShmemPe::collect: bad index");
-      lengths[idx] = len;
-      send_idx = idx;
+      lengths[idx] = core::wire::Reader(block).read_int<std::uint32_t>();
     }
-    coll_states_.erase(key);
+    drop_collect_state(key);
   }
 
   std::vector<std::uint64_t> offsets(n, 0);
@@ -172,29 +224,23 @@ sim::Task<> ShmemPe::collect(SymAddr dest, SymAddr src,
   const std::uint64_t seq = collect_seq_++;
   const std::uint64_t key = coll_key(kCollectKind, seq);
   const RankId right = (rank_ + 1) % n;
-  std::uint32_t send_idx = rank_;
-  auto first = local_window(src, my_len);
-  std::vector<std::byte> current(first.begin(), first.end());
+  CollectState& state = collect_state(key);
+  std::vector<std::byte> message =
+      coll_frame(kCollectKind, seq, rank_, local_window(src, my_len));
   for (std::uint32_t step = 0; step + 1 < n; ++step) {
-    std::vector<std::byte> message = coll_header(kCollectKind, seq);
-    core::wire::put_int<std::uint32_t>(message, send_idx);
-    message.insert(message.end(), current.begin(), current.end());
     co_await conduit_.am_send(right, kShmemCollDataHandler,
                               std::move(message));
-    std::vector<std::byte> incoming = co_await collect_state(key).chunks.pop();
-    core::wire::Reader reader(incoming);
-    auto idx = reader.read_int<std::uint32_t>();
-    current = reader.read_rest();
-    if (idx >= n || current.size() != lengths[idx]) {
+    message = co_await state.chunks.pop();
+    auto [idx, block] = read_indexed(message);
+    if (idx >= n || block.size() != lengths[idx]) {
       throw std::runtime_error("ShmemPe::collect: bad chunk");
     }
-    if (!current.empty()) {
-      auto target = local_window(dest + offsets[idx], current.size());
-      std::copy(current.begin(), current.end(), target.begin());
+    if (!block.empty()) {
+      auto target = local_window(dest + offsets[idx], block.size());
+      std::copy(block.begin(), block.end(), target.begin());
     }
-    send_idx = idx;
   }
-  coll_states_.erase(key);
+  drop_collect_state(key);
 }
 
 sim::Task<> ShmemPe::alltoall(SymAddr dest, SymAddr src,
@@ -216,19 +262,15 @@ sim::Task<> ShmemPe::alltoall(SymAddr dest, SymAddr src,
   // Rotated send order spreads load (classic alltoall schedule).
   for (std::uint32_t offset = 1; offset < n; ++offset) {
     RankId peer = (rank_ + offset) % n;
-    std::vector<std::byte> message = coll_header(kAlltoallKind, seq);
-    core::wire::put_int<std::uint32_t>(message, rank_);
     auto block = local_window(
         src + static_cast<std::uint64_t>(peer) * block_len, block_len);
-    message.insert(message.end(), block.begin(), block.end());
     co_await conduit_.am_send(peer, kShmemCollDataHandler,
-                              std::move(message));
+                              coll_frame(kAlltoallKind, seq, rank_, block));
   }
+  CollectState& state = collect_state(key);
   for (std::uint32_t received = 0; received + 1 < n; ++received) {
-    std::vector<std::byte> incoming = co_await collect_state(key).chunks.pop();
-    core::wire::Reader reader(incoming);
-    auto idx = reader.read_int<std::uint32_t>();
-    std::vector<std::byte> data = reader.read_rest();
+    std::vector<std::byte> incoming = co_await state.chunks.pop();
+    auto [idx, data] = read_indexed(incoming);
     if (idx >= n || data.size() != block_len) {
       throw std::runtime_error("ShmemPe::alltoall: bad block");
     }
@@ -236,7 +278,7 @@ sim::Task<> ShmemPe::alltoall(SymAddr dest, SymAddr src,
         dest + static_cast<std::uint64_t>(idx) * block_len, block_len);
     std::copy(data.begin(), data.end(), target.begin());
   }
-  coll_states_.erase(key);
+  drop_collect_state(key);
 }
 
 sim::Task<> ShmemPe::reduce_impl(SymAddr dest, SymAddr src,
@@ -256,6 +298,7 @@ sim::Task<> ShmemPe::reduce_impl(SymAddr dest, SymAddr src,
   const std::uint64_t seq = reduce_seq_++;
   const std::uint64_t key = coll_key(kReduceKind, seq);
   const std::uint32_t fanout = config().collective_fanout;
+  CollectState& state = collect_state(key);
 
   std::uint32_t children = 0;
   for (std::uint32_t c = 1; c <= fanout; ++c) {
@@ -264,45 +307,41 @@ sim::Task<> ShmemPe::reduce_impl(SymAddr dest, SymAddr src,
 
   // Combine the children's partial results.
   for (std::uint32_t received = 0; received < children; ++received) {
-    std::vector<std::byte> partial = co_await collect_state(key).chunks.pop();
+    std::vector<std::byte> frame = co_await state.chunks.pop();
+    std::span<const std::byte> partial = frame_body(frame);
     if (partial.size() != bytes) {
       throw std::runtime_error("ShmemPe::reduce: bad partial");
     }
     auto acc = local_window(dest, bytes);
     for (std::uint32_t e = 0; e < count; ++e) {
       combine(acc.subspan(static_cast<std::size_t>(e) * elem, elem),
-              std::span<const std::byte>(partial)
-                  .subspan(static_cast<std::size_t>(e) * elem, elem));
+              partial.subspan(static_cast<std::size_t>(e) * elem, elem));
     }
   }
 
+  // The result travels down the tree: PE 0 frames its accumulator, every
+  // other PE forwards the frame its parent sent (body == the result).
+  std::vector<std::byte> result;
   if (rank_ != 0) {
     // Send the partial up, then wait for the final result from the parent.
-    std::vector<std::byte> message = coll_header(kReduceKind, seq);
-    auto acc = local_window(dest, bytes);
-    message.insert(message.end(), acc.begin(), acc.end());
     RankId parent = (rank_ - 1) / fanout;
-    co_await conduit_.am_send(parent, kShmemCollDataHandler, std::move(message));
+    co_await conduit_.am_send(
+        parent, kShmemCollDataHandler,
+        coll_frame(kReduceKind, seq, std::nullopt, local_window(dest, bytes)));
 
-    std::vector<std::byte> result = co_await collect_state(key).chunks.pop();
-    if (result.size() != bytes) {
+    result = co_await state.chunks.pop();
+    std::span<const std::byte> data = frame_body(result);
+    if (data.size() != bytes) {
       throw std::runtime_error("ShmemPe::reduce: bad result");
     }
     auto target = local_window(dest, bytes);
-    std::copy(result.begin(), result.end(), target.begin());
+    std::copy(data.begin(), data.end(), target.begin());
+  } else {
+    result =
+        coll_frame(kReduceKind, seq, std::nullopt, local_window(dest, bytes));
   }
-
-  // Forward the final result down the tree.
-  std::vector<std::byte> message = coll_header(kReduceKind, seq);
-  auto result = local_window(dest, bytes);
-  message.insert(message.end(), result.begin(), result.end());
-  for (std::uint32_t c = 1; c <= fanout; ++c) {
-    std::uint64_t child = static_cast<std::uint64_t>(rank_) * fanout + c;
-    if (child >= n) break;
-    co_await conduit_.am_send(static_cast<RankId>(child), kShmemCollDataHandler,
-                              message);
-  }
-  coll_states_.erase(key);
+  co_await send_down_tree(rank_, /*root=*/0, std::move(result));
+  drop_collect_state(key);
 }
 
 }  // namespace odcm::shmem

@@ -23,10 +23,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/conduit.hpp"
@@ -73,7 +73,9 @@ class ShmemPe {
   [[nodiscard]] sim::Engine& engine() noexcept;
 
  private:
-  /// Per-(kind, sequence) buffer of incoming collective chunks.
+  /// Per-(kind, sequence) buffer of incoming collective frames. Each item
+  /// is the whole AM payload (`kind | seq | ...`), kept intact so a ring
+  /// step can forward it unchanged.
   struct CollectState {
     explicit CollectState(sim::Engine& engine) : chunks(engine) {}
     sim::Mailbox<std::vector<std::byte>> chunks;
@@ -337,7 +339,15 @@ class ShmemPe {
                           std::vector<fabric::reg::RkeyLease>& leases);
 
   // Collective plumbing (implemented in collectives.cpp).
+  /// The state for `key`, created on first use (by whichever of the local
+  /// operation or an early-arriving frame gets there first).
   CollectState& collect_state(std::uint64_t key);
+  void drop_collect_state(std::uint64_t key);
+  /// Send `frame` to each child of virtual rank `vrank` in the
+  /// `collective_fanout`-ary tree rooted at `root`, in order; the last
+  /// child gets the buffer itself, the others a copy.
+  sim::Task<> send_down_tree(std::uint32_t vrank, RankId root,
+                             std::vector<std::byte> frame);
   sim::Task<> handle_coll_data(RankId src, std::vector<std::byte> payload);
   /// Element-wise combiner applied to each of `count` elements of `elem`
   /// bytes (type-erased core of reduce<T>).
@@ -371,7 +381,11 @@ class ShmemPe {
   std::uint64_t bcast_seq_ = 0;
   std::uint64_t collect_seq_ = 0;
   std::uint64_t reduce_seq_ = 0;
-  std::map<std::uint64_t, std::unique_ptr<CollectState>> coll_states_{};
+  // Only the few operations in flight around this PE are live at once, so
+  // a flat list beats a tree; entries are boxed so references stay valid
+  // across suspensions while the list reshuffles.
+  std::vector<std::pair<std::uint64_t, std::unique_ptr<CollectState>>>
+      coll_states_{};
 };
 
 }  // namespace odcm::shmem

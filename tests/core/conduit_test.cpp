@@ -4,6 +4,9 @@
 
 #include <cstring>
 #include <map>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/conduit.hpp"
@@ -312,6 +315,99 @@ TEST(Conduit, UnregisteredHandlerSurfacesError) {
     co_await c.barrier_global();
   });
   EXPECT_THROW(env.engine.run(), std::runtime_error);
+}
+
+// An AM payload is one buffer from am_send to the handler: the sender's
+// storage, with room reserved for the trailer, reaches the handler as is
+// on both the RC route and the shm route.
+void expect_handler_gets_sender_buffer(IntranodeTransport transport) {
+  ConduitConfig conduit = proposed_design();
+  conduit.intranode_transport = transport;
+  JobEnv env(small_job(2, 2, conduit));
+  const std::byte* sent = nullptr;
+  const std::byte* received = nullptr;
+  std::size_t received_size = 0;
+  std::size_t received_capacity = 0;
+  env.run([&](Conduit& c) -> sim::Task<> {
+    c.register_handler(
+        20, [&](RankId, std::vector<std::byte> payload) -> sim::Task<> {
+          received = payload.data();
+          received_size = payload.size();
+          received_capacity = payload.capacity();
+          co_return;
+        });
+    co_await c.init();
+    if (c.rank() == 0) {
+      std::vector<std::byte> payload;
+      payload.reserve(100 + AmPacket::kTrailerSize);
+      payload.resize(100, std::byte{0x5a});
+      sent = payload.data();
+      co_await c.am_send(1, 20, std::move(payload));
+    }
+    co_await c.barrier_global();
+  });
+  // The message took the route under test.
+  const bool shm = transport == IntranodeTransport::kShm;
+  const sim::StatSet& stats = env.job.conduit(0).stats();
+  EXPECT_EQ(stats.counter("am_sent_shm") > 0, shm);
+  EXPECT_EQ(stats.counter("qp_created_rc") > 0, !shm);
+  ASSERT_NE(sent, nullptr);
+  EXPECT_EQ(received, sent);
+  EXPECT_EQ(received_size, 100u);
+  EXPECT_GE(received_capacity, 100 + AmPacket::kTrailerSize);
+}
+
+TEST(ZeroCopyAm, RcHandlerReceivesSenderBuffer) {
+  expect_handler_gets_sender_buffer(IntranodeTransport::kRc);
+}
+
+TEST(ZeroCopyAm, ShmHandlerReceivesSenderBuffer) {
+  expect_handler_gets_sender_buffer(IntranodeTransport::kShm);
+}
+
+// Tier configs whose tiers cannot all be reached are rejected when the job
+// is built, with a message naming the field.
+void expect_rejected(const ConduitConfig& conduit, const char* field) {
+  sim::Engine engine;
+  try {
+    ConduitJob job(engine, small_job(2, 1, conduit));
+    FAIL() << field << ": config was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ConduitJobConfig, RendezvousThresholdMustExceedEagerThreshold) {
+  ConduitConfig conduit = proposed_design();
+  conduit.eager_threshold = 4096;
+  for (std::uint64_t rdv : {std::uint64_t{4096}, std::uint64_t{1024}}) {
+    conduit.rendezvous_threshold = rdv;
+    expect_rejected(conduit, "rendezvous_threshold");
+  }
+  // Either threshold alone, or a non-empty pipelined tier, is valid.
+  for (auto [eager, rdv] : {std::pair<std::uint64_t, std::uint64_t>{4096, 0},
+                            {0, 4096},
+                            {4096, 4097}}) {
+    conduit.eager_threshold = eager;
+    conduit.rendezvous_threshold = rdv;
+    sim::Engine engine;
+    EXPECT_NO_THROW({ ConduitJob job(engine, small_job(2, 1, conduit)); });
+  }
+}
+
+TEST(ConduitJobConfig, BulkChunkBytesMustBeNonzeroWithTiering) {
+  ConduitConfig conduit = proposed_design();
+  conduit.bulk_chunk_bytes = 0;
+  conduit.rendezvous_threshold = 8192;
+  expect_rejected(conduit, "bulk_chunk_bytes");
+  conduit.rendezvous_threshold = 0;
+  conduit.eager_threshold = 8192;
+  expect_rejected(conduit, "bulk_chunk_bytes");
+  // Unused while tiering is off, so a zero chunk is harmless there.
+  conduit.eager_threshold = 0;
+  sim::Engine engine;
+  EXPECT_NO_THROW({ ConduitJob job(engine, small_job(2, 1, conduit)); });
 }
 
 TEST(Conduit, DeterministicEndToEnd) {

@@ -51,6 +51,29 @@ TEST(AmPacket, EmptyPayload) {
   EXPECT_TRUE(decoded.payload.empty());
 }
 
+TEST(AmPacket, DecodeConsumeKeepsTheDeliveredBuffer) {
+  // The trailer layout lets the receiver strip the addressing fields in
+  // place: the payload is the delivered storage, shortened by the trailer.
+  std::vector<std::byte> frame = bytes_of({9, 8, 7, 6});
+  AmPacket::seal(frame, 42, 999);
+  ASSERT_EQ(frame.size(), 4 + AmPacket::kTrailerSize);
+  const std::byte* storage = frame.data();
+  const std::size_t wire_len = frame.size();
+  AmPacket decoded = AmPacket::decode_consume(std::move(frame));
+  EXPECT_EQ(decoded.handler, 42);
+  EXPECT_EQ(decoded.src_rank, 999u);
+  EXPECT_EQ(decoded.payload.data(), storage);
+  EXPECT_EQ(decoded.payload.size(), wire_len - 6);
+  EXPECT_EQ(decoded.payload, bytes_of({9, 8, 7, 6}));
+}
+
+TEST(AmPacket, SealMatchesEncode) {
+  AmPacket packet{7, 3, bytes_of({1, 2, 3})};
+  std::vector<std::byte> frame = packet.payload;
+  AmPacket::seal(frame, packet.handler, packet.src_rank);
+  EXPECT_EQ(frame, packet.encode());
+}
+
 TEST(Endpoint, EncodesAndDecodes) {
   fabric::EndpointAddr addr{321, 0xDEADBEEF};
   EXPECT_EQ(decode_endpoint(encode_endpoint(addr)), addr);

@@ -1,6 +1,7 @@
 // Tests for OpenSHMEM collectives: barrier_all, broadcast, fcollect, reduce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -226,6 +227,123 @@ TEST(Reduce, ZeroCollectiveFanoutRejectedAtJobConstruction) {
       EXPECT_EQ(pe.local_read<std::int64_t>(dest), 36);
     }));
   }
+}
+
+// ---- wire lengths of every collective, pinned through virtual time ----
+
+std::byte pattern(std::uint64_t rank, std::uint64_t i, std::uint64_t salt) {
+  return static_cast<std::byte>((rank * 131 + i * 7 + salt * 29) & 0xff);
+}
+
+/// Runs collect (block lengths 0, 1, 13, 4096), then broadcast, fcollect,
+/// alltoall and an int64 reduce (lengths 1, 13, 4096) on 6 PEs over 2
+/// nodes, checking every result byte. Returns, per operation, the latest
+/// virtual completion time over all PEs: every frame's length feeds the
+/// wire and copy cost model, so a changed length moves these times.
+std::vector<sim::Time> run_pinned_collectives(core::IntranodeTransport t) {
+  constexpr std::uint32_t kRanks = 6;
+  core::ConduitConfig conduit = core::proposed_design();
+  conduit.intranode_transport = t;
+  ShmemJobConfig config = small_job(kRanks, 3, conduit);
+  config.shmem.heap_bytes = 1 << 20;
+  JobEnv env(config);
+  std::vector<sim::Time> done;
+  std::uint64_t bad_bytes = 0;
+  env.run(with_init([&done, &bad_bytes](ShmemPe& pe) -> sim::Task<> {
+    const std::uint64_t me = pe.rank();
+    std::size_t step = 0;
+    auto finished = [&done, &pe, &step] {
+      if (done.size() <= step) done.resize(step + 1, 0);
+      done[step] = std::max(done[step], pe.engine().now());
+      ++step;
+    };
+    auto fill = [&pe](SymAddr at, std::uint64_t rank, std::uint64_t first,
+                      std::uint64_t len, std::uint64_t salt) {
+      auto window = pe.local_window(at, len);
+      for (std::uint64_t i = 0; i < len; ++i) {
+        window[i] = pattern(rank, first + i, salt);
+      }
+    };
+    auto check = [&pe, &bad_bytes](SymAddr at, std::uint64_t rank,
+                                   std::uint64_t first, std::uint64_t len,
+                                   std::uint64_t salt) {
+      auto window = pe.local_window(at, len);
+      for (std::uint64_t i = 0; i < len; ++i) {
+        if (window[i] != pattern(rank, first + i, salt)) ++bad_bytes;
+      }
+    };
+    for (std::uint64_t len : {0u, 1u, 13u, 4096u}) {
+      const std::uint64_t room = std::max<std::uint64_t>(len * kRanks, 1);
+      SymAddr src = pe.heap().allocate(room);
+      SymAddr dest = pe.heap().allocate(room);
+      fill(src, me, 0, len, 1);
+      co_await pe.collect(dest, src, static_cast<std::uint32_t>(len));
+      finished();
+      for (std::uint64_t r = 0; r < kRanks; ++r) check(dest + r * len, r, 0, len, 1);
+      if (len == 0) continue;
+
+      const std::uint64_t root = 4;
+      SymAddr buf = pe.heap().allocate(len);
+      if (me == root) fill(buf, root, 0, len, 2);
+      co_await pe.broadcast(static_cast<RankId>(root), buf,
+                            static_cast<std::uint32_t>(len));
+      finished();
+      check(buf, root, 0, len, 2);
+
+      src = pe.heap().allocate(len);
+      dest = pe.heap().allocate(len * kRanks);
+      fill(src, me, 0, len, 3);
+      co_await pe.fcollect(dest, src, static_cast<std::uint32_t>(len));
+      finished();
+      for (std::uint64_t r = 0; r < kRanks; ++r) check(dest + r * len, r, 0, len, 3);
+
+      src = pe.heap().allocate(len * kRanks);
+      dest = pe.heap().allocate(len * kRanks);
+      fill(src, me, 0, len * kRanks, 4);
+      co_await pe.alltoall(dest, src, static_cast<std::uint32_t>(len));
+      finished();
+      for (std::uint64_t r = 0; r < kRanks; ++r) {
+        check(dest + r * len, r, me * len, len, 4);
+      }
+
+      src = pe.heap().allocate(8 * len);
+      dest = pe.heap().allocate(8 * len);
+      for (std::uint64_t e = 0; e < len; ++e) {
+        pe.local_write<std::int64_t>(src + 8 * e,
+                                     static_cast<std::int64_t>(me * 1000 + e));
+      }
+      co_await pe.reduce<std::int64_t>(dest, src,
+                                       static_cast<std::uint32_t>(len),
+                                       ReduceOp::kSum);
+      finished();
+      for (std::uint64_t e = 0; e < len; ++e) {
+        const auto want = static_cast<std::int64_t>(15 * 1000 + kRanks * e);
+        if (pe.local_read<std::int64_t>(dest + 8 * e) != want) ++bad_bytes;
+      }
+    }
+  }));
+  EXPECT_EQ(bad_bytes, 0u);
+  return done;
+}
+
+TEST(CollectiveWire, RcLengthsPinnedByVirtualTime) {
+  // Captured before the zero-copy AM path landed; frames must keep their
+  // lengths. Order: collect(0); then per length 1, 13, 4096: collect,
+  // broadcast, fcollect, alltoall, reduce.
+  const std::vector<sim::Time> expected = {
+      2215500, 2232565, 3744950, 3753130, 4262476, 4268401,
+      4283831, 4287097, 4295297, 4301935, 4307976, 4329781,
+      4336620, 4351195, 4362678, 4410630};
+  EXPECT_EQ(run_pinned_collectives(core::IntranodeTransport::kRc), expected);
+}
+
+TEST(CollectiveWire, ShmLengthsPinnedByVirtualTime) {
+  // Captured like the RC pins above.
+  const std::vector<sim::Time> expected = {
+      2168018, 2185083, 3722850, 3731030, 4262678, 4267490,
+      4282859, 4285441, 4293641, 4299305, 4304178, 4325922,
+      4331639, 4346214, 4356285, 4398044};
+  EXPECT_EQ(run_pinned_collectives(core::IntranodeTransport::kShm), expected);
 }
 
 }  // namespace
