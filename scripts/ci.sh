@@ -59,17 +59,22 @@ ctest --test-dir "${prefix}" --output-on-failure -L schedule
 echo "==> host benchmark digest guard (perfbench)"
 # Host-side optimisations must leave virtual results alone: each workload's
 # virtual digest has to match perfbench/reference.json ("correct": true).
-for workload in startup collective hybrid; do
-  result="$(CARGO_TARGET_DIR="${prefix}/perfbench-target" python3 \
-    perfbench/run.py --workload "${workload}" --seed 0 --seconds 1 \
-    --trace 0 | tail -n 1)"
-  echo "${workload}: ${result}"
-  if ! python3 -c 'import json, sys
+# The --trace 1 pass attaches telemetry to every job, so a change on the
+# protocol-observer path that perturbs virtual time fails here too.
+for trace in 0 1; do
+  for workload in startup collective hybrid; do
+    result="$(CARGO_TARGET_DIR="${prefix}/perfbench-target" python3 \
+      perfbench/run.py --workload "${workload}" --seed 0 --seconds 1 \
+      --trace "${trace}" | tail -n 1)"
+    echo "${workload} (trace ${trace}): ${result}"
+    if ! python3 -c 'import json, sys
 sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
-      "${result}"; then
-    echo "perfbench ${workload}: digest does not match the reference" >&2
-    exit 1
-  fi
+        "${result}"; then
+      echo "perfbench ${workload} --trace ${trace}: digest does not match" \
+        "the reference" >&2
+      exit 1
+    fi
+  done
 done
 
 echo "==> archiving bench artifacts"

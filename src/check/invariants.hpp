@@ -93,7 +93,9 @@ class InvariantChecker final : public core::ProtocolObserver {
     return events_seen_;
   }
 
-  /// The recent-event tail, formatted one per line (for failure reports).
+  /// The last `Options::history_limit` events, oldest first, one
+  /// `core::format` line each (for failure reports). Events are kept as
+  /// structs and only formatted here.
   [[nodiscard]] std::string history() const;
 
  private:
@@ -144,7 +146,6 @@ class InvariantChecker final : public core::ProtocolObserver {
   void check_bulk_event(const core::ProtocolEvent& event);
   [[nodiscard]] std::uint64_t reg_chunk_len(std::uint32_t chunk) const;
   void remember(const core::ProtocolEvent& event);
-  [[nodiscard]] static std::string format(const core::ProtocolEvent& event);
 
   Options options_{};
   std::map<PairKey, PairState> pairs_{};
@@ -156,7 +157,7 @@ class InvariantChecker final : public core::ProtocolObserver {
   std::map<PairKey, std::set<std::uint64_t>> reg_invalidated_{};
   /// Bulk streams, keyed by (initiator, target, sequence).
   std::map<RdvKey, RdvState> rdv_{};
-  std::deque<std::string> history_{};
+  std::deque<core::ProtocolEvent> history_{};
   std::uint64_t events_seen_ = 0;
 };
 

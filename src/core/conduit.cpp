@@ -313,7 +313,6 @@ sim::Task<> Conduit::shm_export(fabric::AddressSpace& space,
   }
   co_await shm_domain().export_segment(rank_, space, base, len);
   stats_.add("shm_segment_exported");
-  trace("shm", "exported segment");
 }
 
 sim::Task<> Conduit::shm_am_send(RankId dst, std::uint16_t handler,

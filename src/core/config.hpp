@@ -63,7 +63,8 @@ struct ConduitConfig {
   /// the unreliable datagram transport, and the retry budget. The timeout
   /// doubles per attempt up to `conn_rto_max` with deterministic
   /// per-(src, dst, attempt) jitter (see core/backoff.hpp), so colliding
-  /// clients never retransmit in lockstep.
+  /// clients never retransmit in lockstep. Must be non-zero in on-demand
+  /// mode (rejected at job construction).
   sim::Time conn_rto = 500 * sim::usec;
   sim::Time conn_rto_max = 8 * sim::msec;
   std::uint32_t conn_max_retries = 64;
@@ -88,7 +89,8 @@ struct ConduitConfig {
   /// the paper builds on): cap the number of live RC connections per PE;
   /// exceeding it evicts the least-recently-used connection through a
   /// graceful notice/ack drain, and a later message re-establishes it on
-  /// demand. 0 = unlimited (the paper's design). On-demand mode only.
+  /// demand. 0 = unlimited (the paper's design). On-demand mode only: a
+  /// non-zero cap in static mode is rejected at job construction.
   std::uint32_t max_active_connections = 0;
 
   // ---- large-message protocol tiering (DESIGN.md §5.17) ----

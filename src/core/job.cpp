@@ -17,6 +17,18 @@ ConduitJob::ConduitJob(sim::Engine& engine, JobConfig config)
         "ConduitJob: conduit.barrier_fanout must be >= 1");
   }
   const ConduitConfig& cc = config_.conduit;
+  const bool on_demand = cc.connection_mode == ConnectionMode::kOnDemand;
+  if (on_demand && cc.conn_rto == 0) {
+    // The backoff doubles a zero timeout forever, so every handshake would
+    // burn its whole retry budget at one virtual instant.
+    throw std::invalid_argument(
+        "ConduitJob: conduit.conn_rto must be > 0 in on-demand mode");
+  }
+  if (!on_demand && cc.max_active_connections != 0) {
+    throw std::invalid_argument(
+        "ConduitJob: conduit.max_active_connections is on-demand mode only "
+        "and must be 0 in static mode");
+  }
   if (cc.eager_threshold != 0 && cc.rendezvous_threshold != 0 &&
       cc.rendezvous_threshold <= cc.eager_threshold) {
     // select_tier tests the rendezvous bound first, so the pipelined tier
@@ -95,16 +107,16 @@ void ConduitJob::spawn_all(std::function<sim::Task<>(Conduit&)> body) {
 
 void ConduitJob::add_observer(ProtocolObserver* observer) {
   if (observer == nullptr) return;
-  if (std::find(extra_observers_.begin(), extra_observers_.end(), observer) ==
-      extra_observers_.end()) {
-    extra_observers_.push_back(observer);
+  if (std::find(observers_.begin(), observers_.end(), observer) ==
+      observers_.end()) {
+    observers_.push_back(observer);
   }
 }
 
 void ConduitJob::remove_observer(ProtocolObserver* observer) {
-  extra_observers_.erase(std::remove(extra_observers_.begin(),
-                                     extra_observers_.end(), observer),
-                         extra_observers_.end());
+  observers_.erase(std::remove(observers_.begin(),
+                                     observers_.end(), observer),
+                         observers_.end());
 }
 
 sim::StatSet ConduitJob::aggregate_stats() const {

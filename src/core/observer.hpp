@@ -2,14 +2,16 @@
 //
 // Every consequential step of the on-demand handshake — phase transitions,
 // retransmissions, collisions, QP binding, piggyback-payload installation,
-// RMA issue — is reported to an optional `ProtocolObserver` registered on
-// the `ConduitJob`. The observer sees the job-wide, deterministic event
-// stream, which is what `check::InvariantChecker` validates protocol
-// invariants against (DESIGN.md §6). With no observer installed the hooks
-// cost one branch per event.
+// RMA issue — is reported to the `ProtocolObserver`s registered on the
+// `ConduitJob`. This job-wide, deterministic event stream is the only
+// protocol-observation path: `check::InvariantChecker` validates protocol
+// invariants against it (DESIGN.md §6) and `telemetry::ConnectionTimeline`
+// derives timelines from it. With no observer installed the hooks cost one
+// branch per event, and no event is ever formatted unless someone asks.
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "fabric/types.hpp"
 #include "sim/time.hpp"
@@ -127,6 +129,46 @@ struct ProtocolEvent {
   /// access.
   sim::Time time = 0;
 };
+
+/// Stable snake_case name of an event kind (also the Chrome-trace
+/// annotation name).
+[[nodiscard]] constexpr const char* to_string(
+    ProtocolEvent::Kind kind) noexcept {
+  using Kind = ProtocolEvent::Kind;
+  switch (kind) {
+    case Kind::kPhaseChange: return "phase_change";
+    case Kind::kRetransmit: return "retransmit";
+    case Kind::kConnectFailed: return "connect_failed";
+    case Kind::kReplyResend: return "reply_resend";
+    case Kind::kCollision: return "collision";
+    case Kind::kRequestHeld: return "request_held";
+    case Kind::kQpBound: return "qp_bound";
+    case Kind::kQpUnbound: return "qp_unbound";
+    case Kind::kPayloadInstalled: return "payload_installed";
+    case Kind::kRdmaIssued: return "rdma_issued";
+    case Kind::kShmIssued: return "shm_issued";
+    case Kind::kRegFault: return "reg_fault";
+    case Kind::kRegFaultServed: return "reg_fault_served";
+    case Kind::kRegChunkPinned: return "reg_chunk_pinned";
+    case Kind::kRegChunkEvicted: return "reg_chunk_evicted";
+    case Kind::kRegChunkDeregistered: return "reg_chunk_deregistered";
+    case Kind::kRegRkeyInvalidated: return "reg_rkey_invalidated";
+    case Kind::kRegRkeyUsed: return "reg_rkey_used";
+    case Kind::kRtsIssued: return "rts";
+    case Kind::kCtsIssued: return "cts";
+    case Kind::kRendezvousDone: return "rendezvous_done";
+    case Kind::kCreditStall: return "credit_stall";
+    case Kind::kBulkFragmentSent: return "frag_sent";
+    case Kind::kBulkFragmentDelivered: return "frag_delivered";
+  }
+  return "?";
+}
+
+/// One event as one line of text, e.g.
+/// `t=529400 pe4 peer=0 Idle->Requesting role=Client` or
+/// `t=612000 pe4 peer=0 retransmit attempt=1`. `attempt` and `detail` are
+/// printed only when non-zero. Used by failure reports and event dumps.
+[[nodiscard]] std::string format(const ProtocolEvent& event);
 
 /// Interface for job-wide protocol observation. Implementations may throw
 /// from `on_event` (e.g. on an invariant violation); the exception unwinds

@@ -11,9 +11,6 @@ void BenchReport::set_metrics_from(const MetricsRegistry& registry,
   for (const auto& [name, value] : registry.counters()) {
     metrics_.set(prefix + name, value);
   }
-  for (const auto& [name, value] : registry.gauges()) {
-    metrics_.set(prefix + name, value);
-  }
   for (const auto& [name, hist] : registry.histograms()) {
     metrics_.set(prefix + name + "/count", hist.count());
     metrics_.set(prefix + name + "/sum", hist.sum());

@@ -72,7 +72,6 @@ JsonValue Histogram::to_json() const {
 // ---- MetricsRegistry ----
 
 void MetricsRegistry::add(std::string_view name, std::int64_t delta) {
-  if (!enabled_) return;
   auto it = counters_.find(name);
   if (it == counters_.end()) {
     counters_.emplace(std::string(name), delta);
@@ -81,18 +80,7 @@ void MetricsRegistry::add(std::string_view name, std::int64_t delta) {
   }
 }
 
-void MetricsRegistry::set_gauge(std::string_view name, std::int64_t value) {
-  if (!enabled_) return;
-  auto it = gauges_.find(name);
-  if (it == gauges_.end()) {
-    gauges_.emplace(std::string(name), value);
-  } else {
-    it->second = value;
-  }
-}
-
 void MetricsRegistry::observe(std::string_view name, std::uint64_t value) {
-  if (!enabled_) return;
   auto it = histograms_.find(name);
   if (it == histograms_.end()) {
     it = histograms_.emplace(std::string(name), Histogram{}).first;
@@ -105,11 +93,6 @@ std::int64_t MetricsRegistry::counter(std::string_view name) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-std::int64_t MetricsRegistry::gauge(std::string_view name) const {
-  auto it = gauges_.find(name);
-  return it == gauges_.end() ? 0 : it->second;
-}
-
 const Histogram* MetricsRegistry::histogram(std::string_view name) const {
   auto it = histograms_.find(name);
   return it == histograms_.end() ? nullptr : &it->second;
@@ -117,7 +100,6 @@ const Histogram* MetricsRegistry::histogram(std::string_view name) const {
 
 void MetricsRegistry::clear() {
   counters_.clear();
-  gauges_.clear();
   histograms_.clear();
 }
 
@@ -125,14 +107,11 @@ JsonValue MetricsRegistry::to_json() const {
   JsonValue root = JsonValue::object();
   JsonValue counters = JsonValue::object();
   for (const auto& [name, value] : counters_) counters.set(name, value);
-  JsonValue gauges = JsonValue::object();
-  for (const auto& [name, value] : gauges_) gauges.set(name, value);
   JsonValue histograms = JsonValue::object();
   for (const auto& [name, hist] : histograms_) {
     histograms.set(name, hist.to_json());
   }
   root.set("counters", std::move(counters));
-  root.set("gauges", std::move(gauges));
   root.set("histograms", std::move(histograms));
   return root;
 }

@@ -1,5 +1,5 @@
-// Job-wide metrics registry: named counters, gauges and log-bucketed
-// virtual-time histograms.
+// Job-wide metrics registry: named counters and log-bucketed virtual-time
+// histograms.
 //
 // The registry is the single sink behind every instrumentation surface in
 // the runtime: `sim::StatSet` (per-PE counters and phase times) and the PMI
@@ -7,11 +7,8 @@
 // `telemetry::ConnectionTimeline`, and benches record into it directly. All
 // state is deterministic — identical simulation runs produce identical
 // registries — and everything operates on *virtual* time, so observation
-// never perturbs the simulated clock.
-//
-// When disabled, every recording call is a single branch and no state
-// changes, which keeps the telemetry-off path bit-identical to a build that
-// never heard of telemetry.
+// never perturbs the simulated clock. Telemetry off means no registry is
+// attached as a sink (`Telemetry(false)`), so nothing records at all.
 #pragma once
 
 #include <array>
@@ -21,7 +18,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/engine.hpp"
 #include "sim/metrics_sink.hpp"
 #include "sim/time.hpp"
 #include "telemetry/json.hpp"
@@ -86,20 +82,12 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-/// Named counters / gauges / histograms, keyed by string. Lookup maps are
-/// ordered so every export iterates deterministically.
+/// Named counters / histograms, keyed by string. Lookup maps are ordered so
+/// every export iterates deterministically.
 class MetricsRegistry : public sim::MetricsSink {
  public:
-  explicit MetricsRegistry(bool enabled = true) : enabled_(enabled) {}
-
-  void enable() noexcept { enabled_ = true; }
-  void disable() noexcept { enabled_ = false; }
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
-
-  /// Move counter `name` by `delta` (no-op when disabled).
+  /// Move counter `name` by `delta`.
   void add(std::string_view name, std::int64_t delta = 1);
-  /// Set gauge `name` to `value` (last write wins; no-op when disabled).
-  void set_gauge(std::string_view name, std::int64_t value);
   /// Record one duration/magnitude sample into histogram `name`.
   void observe(std::string_view name, std::uint64_t value);
 
@@ -112,17 +100,12 @@ class MetricsRegistry : public sim::MetricsSink {
   }
 
   [[nodiscard]] std::int64_t counter(std::string_view name) const;
-  [[nodiscard]] std::int64_t gauge(std::string_view name) const;
   /// nullptr when no sample was ever recorded under `name`.
   [[nodiscard]] const Histogram* histogram(std::string_view name) const;
 
   [[nodiscard]] const std::map<std::string, std::int64_t, std::less<>>&
   counters() const noexcept {
     return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, std::int64_t, std::less<>>&
-  gauges() const noexcept {
-    return gauges_;
   }
   [[nodiscard]] const std::map<std::string, Histogram, std::less<>>&
   histograms() const noexcept {
@@ -132,58 +115,12 @@ class MetricsRegistry : public sim::MetricsSink {
   void clear();
 
   /// Full registry export:
-  /// {counters:{}, gauges:{}, histograms:{name: summary}}.
+  /// {counters:{}, histograms:{name: summary}}.
   [[nodiscard]] JsonValue to_json() const;
 
  private:
-  bool enabled_;
   std::map<std::string, std::int64_t, std::less<>> counters_{};
-  std::map<std::string, std::int64_t, std::less<>> gauges_{};
   std::map<std::string, Histogram, std::less<>> histograms_{};
-};
-
-/// RAII phase timer against the virtual clock, recording one histogram
-/// sample into the registry on scope exit (telemetry flavour of
-/// `sim::PhaseTimer`).
-class PhaseTimer {
- public:
-  PhaseTimer(sim::Engine& engine, MetricsRegistry& registry, std::string name)
-      : engine_(&engine),
-        registry_(&registry),
-        name_(std::move(name)),
-        start_(engine.now()) {}
-  PhaseTimer(const PhaseTimer&) = delete;
-  PhaseTimer& operator=(const PhaseTimer&) = delete;
-  ~PhaseTimer() { stop(); }
-
-  /// Stop early (idempotent).
-  void stop() {
-    if (registry_ != nullptr) {
-      registry_->observe(name_, engine_->now() - start_);
-      registry_ = nullptr;
-    }
-  }
-
- private:
-  sim::Engine* engine_;
-  MetricsRegistry* registry_;
-  std::string name_;
-  sim::Time start_;
-};
-
-/// Scoped span: like PhaseTimer, but also bumps a `<name>/calls` counter so
-/// rate and latency stay paired in the export.
-class Span {
- public:
-  Span(sim::Engine& engine, MetricsRegistry& registry, std::string name)
-      : timer_(engine, registry, name) {
-    registry.add(name + "/calls");
-  }
-
-  void stop() { timer_.stop(); }
-
- private:
-  PhaseTimer timer_;
 };
 
 }  // namespace odcm::telemetry

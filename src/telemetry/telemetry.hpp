@@ -30,12 +30,11 @@ namespace odcm::telemetry {
 class Telemetry {
  public:
   explicit Telemetry(bool enabled = true)
-      : enabled_(enabled), registry_(enabled), timeline_(&registry_) {}
+      : enabled_(enabled), timeline_(&registry_) {}
   ~Telemetry() { detach(); }
   Telemetry(const Telemetry&) = delete;
   Telemetry& operator=(const Telemetry&) = delete;
 
-  [[nodiscard]] bool enabled() const noexcept { return enabled_; }
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return registry_; }
   [[nodiscard]] const MetricsRegistry& metrics() const noexcept {
     return registry_;

@@ -2,6 +2,7 @@
 // observer-mirror cross-check, and end-to-end operation on real jobs.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "check/invariants.hpp"
@@ -152,6 +153,44 @@ TEST(InvariantChecker, ViolationReportCarriesHistory) {
     std::string what = violation.what();
     EXPECT_NE(what.find("recent events"), std::string::npos) << what;
     EXPECT_NE(what.find("Idle->Requesting"), std::string::npos) << what;
+  }
+}
+
+TEST(InvariantChecker, HistoryWrapsToTheLastLimitEventsOldestFirst) {
+  InvariantChecker::Options options;
+  options.history_limit = 3;
+  InvariantChecker checker(options);
+  // Five legal events with distinct peers and times: the ring keeps only
+  // the last three.
+  std::vector<ProtocolEvent> fed;
+  for (fabric::RankId peer = 1; peer <= 5; ++peer) {
+    ProtocolEvent event = phase_event(0, peer, PeerPhase::kIdle,
+                                      PeerPhase::kRequesting);
+    event.time = 100 * peer;
+    checker.on_event(event);
+    fed.push_back(event);
+  }
+  std::string expected;
+  for (std::size_t i = fed.size() - 3; i < fed.size(); ++i) {
+    expected += "  " + core::format(fed[i]) + "\n";
+  }
+  EXPECT_EQ(checker.history(), expected);
+
+  ProtocolEvent illegal = phase_event(0, 5, PeerPhase::kRequesting,
+                                      PeerPhase::kConnected);
+  illegal.time = 600;
+  try {
+    checker.on_event(illegal);
+    FAIL() << "expected InvariantViolation";
+  } catch (const InvariantViolation& violation) {
+    std::string what = violation.what();
+    const std::string header = "recent events (oldest first):\n";
+    std::size_t at = what.find(header);
+    ASSERT_NE(at, std::string::npos) << what;
+    EXPECT_EQ(what.substr(at + header.size()), expected) << what;
+    EXPECT_NE(what.find("at event: [" + core::format(illegal) + "]"),
+              std::string::npos)
+        << what;
   }
 }
 
@@ -377,7 +416,7 @@ TEST(InvariantChecker, ShmJobPassesEndToEndWithZeroSameNodeHandshakes) {
   options.intranode_shm = true;
   options.ranks_per_node = config.ranks_per_node;
   InvariantChecker checker(options);
-  job.set_observer(&checker);
+  job.add_observer(&checker);
 
   job.spawn_all([](core::Conduit& c) -> sim::Task<> {
     c.register_handler(20, [](fabric::RankId,
@@ -413,7 +452,7 @@ TEST(InvariantChecker, CleanJobPassesEndToEnd) {
   config.conduit = core::proposed_design();
   core::ConduitJob job(engine, config);
   InvariantChecker checker;
-  job.set_observer(&checker);
+  job.add_observer(&checker);
 
   job.spawn_all([](core::Conduit& c) -> sim::Task<> {
     c.register_handler(20, [](fabric::RankId,
@@ -439,7 +478,7 @@ TEST(InvariantChecker, StaticJobPassesEndToEnd) {
   config.conduit = core::current_design();
   core::ConduitJob job(engine, config);
   InvariantChecker checker;
-  job.set_observer(&checker);
+  job.add_observer(&checker);
 
   job.spawn_all([](core::Conduit& c) -> sim::Task<> {
     c.register_handler(20, [](fabric::RankId,

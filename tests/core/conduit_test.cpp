@@ -410,6 +410,40 @@ TEST(ConduitJobConfig, BulkChunkBytesMustBeNonzeroWithTiering) {
   EXPECT_NO_THROW({ ConduitJob job(engine, small_job(2, 1, conduit)); });
 }
 
+TEST(ConduitJobConfig, ConnRtoMustBeNonzeroOnDemand) {
+  // A zero timeout doubles to zero forever: every cross-node handshake
+  // would exhaust its retries at one virtual instant.
+  ConduitConfig conduit = proposed_design();
+  conduit.conn_rto = 0;
+  expect_rejected(conduit, "conn_rto");
+  // The static connector never retransmits, so it ignores the timeout.
+  ConduitConfig fixed = current_design();
+  fixed.conn_rto = 0;
+  sim::Engine engine;
+  EXPECT_NO_THROW({ ConduitJob job(engine, small_job(2, 1, fixed)); });
+  // The smallest non-zero timeout backs off normally and runs clean.
+  conduit.conn_rto = 1;
+  JobEnv env(small_job(8, 2, conduit));
+  EXPECT_NO_THROW(env.run([](Conduit& c) -> sim::Task<> {
+    c.register_handler(20, [](RankId, std::vector<std::byte>) -> sim::Task<> {
+      co_return;
+    });
+    co_await c.init();
+    co_await c.am_send((c.rank() + 3) % c.size(), 20,
+                       std::vector<std::byte>(8));
+    co_await c.barrier_global();
+  }));
+}
+
+TEST(ConduitJobConfig, ConnectionCapRejectedInStaticMode) {
+  ConduitConfig conduit = current_design();
+  conduit.max_active_connections = 2;
+  expect_rejected(conduit, "max_active_connections");
+  conduit.connection_mode = ConnectionMode::kOnDemand;
+  sim::Engine engine;
+  EXPECT_NO_THROW({ ConduitJob job(engine, small_job(2, 1, conduit)); });
+}
+
 TEST(Conduit, DeterministicEndToEnd) {
   auto run_once = [] {
     JobEnv env(small_job(8, 4));

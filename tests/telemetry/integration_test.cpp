@@ -42,6 +42,8 @@ struct RunResult {
   std::vector<sim::Time> start_pes_times{};
   std::string bench_json{};
   std::string trace_json{};
+  /// Counters + histograms the session's registry holds after the run.
+  std::size_t recorded = 0;
 };
 
 /// Run a 16-PE hello-world; `mode`: 0 = no telemetry object at all,
@@ -56,6 +58,8 @@ RunResult run_hello(int mode, bool lossy = false) {
     co_await apps::hello_pe(pe, apps::HelloParams{});
   });
   tel.finish(engine.now());
+  result.recorded =
+      tel.metrics().counters().size() + tel.metrics().histograms().size();
   for (std::uint32_t r = 0; r < kPes; ++r) {
     result.start_pes_times.push_back(
         job.pe(r).stats().phase_time("start_pes_total"));
@@ -93,6 +97,9 @@ TEST(TelemetryIntegration, AttachedTelemetryDoesNotPerturbVirtualTime) {
   EXPECT_EQ(bare.makespan, disabled.makespan);
   EXPECT_EQ(bare.start_pes_times, attached.start_pes_times);
   EXPECT_EQ(bare.start_pes_times, disabled.start_pes_times);
+  // A disabled session attaches nothing, so its registry stays empty.
+  EXPECT_GT(attached.recorded, 0u);
+  EXPECT_EQ(disabled.recorded, 0u);
 }
 
 TEST(TelemetryIntegration, LossyRunVirtualTimeAlsoUnperturbed) {
