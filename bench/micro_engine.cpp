@@ -41,6 +41,57 @@ void BM_CoroutineSpawnAndDelay(benchmark::State& state) {
 }
 BENCHMARK(BM_CoroutineSpawnAndDelay);
 
+// Four-deep co_await chain per operation, shaped like the AM send path
+// (op -> am_send -> connected_qp -> ensure_connected): measures coroutine
+// frame allocation and symmetric-transfer cost per layer.
+sim::Task<int> chain_ensure_connected(sim::Engine& engine) {
+  co_await engine.delay(1);
+  co_return 1;
+}
+sim::Task<int> chain_connected_qp(sim::Engine& engine) {
+  co_return co_await chain_ensure_connected(engine) + 1;
+}
+sim::Task<int> chain_am_send(sim::Engine& engine) {
+  co_return co_await chain_connected_qp(engine) + 1;
+}
+sim::Task<int> chain_op(sim::Engine& engine) {
+  co_return co_await chain_am_send(engine) + 1;
+}
+
+void BM_TaskChain(benchmark::State& state) {
+  constexpr int kOps = 1000;
+  for (auto _ : state) {
+    sim::Engine engine;
+    engine.spawn([](sim::Engine& eng) -> sim::Task<> {
+      int sum = 0;
+      for (int i = 0; i < kOps; ++i) sum += co_await chain_op(eng);
+      benchmark::DoNotOptimize(sum);
+    }(engine));
+    engine.run();
+  }
+  state.SetItemsProcessed(state.iterations() * kOps);
+}
+BENCHMARK(BM_TaskChain);
+
+void BM_GateWait(benchmark::State& state) {
+  // One completion gate per operation, opened by a later event: the shape
+  // of every simulated verb's completion (QueuePair ops).
+  constexpr int kOps = 1000;
+  for (auto _ : state) {
+    sim::Engine engine;
+    engine.spawn([](sim::Engine& eng) -> sim::Task<> {
+      for (int i = 0; i < kOps; ++i) {
+        sim::Gate done(eng);
+        eng.schedule_after(1, [&done] { done.open(); });
+        co_await done.wait();
+      }
+    }(engine));
+    engine.run();
+  }
+  state.SetItemsProcessed(state.iterations() * kOps);
+}
+BENCHMARK(BM_GateWait);
+
 void BM_MailboxPingPong(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine engine;

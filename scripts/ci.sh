@@ -115,5 +115,13 @@ ASAN_OPTIONS=detect_leaks=0 "${prefix}-asan/bench/check_sweep" --seeds 2 \
   --schedule-seeds 4
 ASAN_OPTIONS=detect_leaks=0 "${prefix}-asan/bench/check_sweep" --seeds 5 \
   --bulkproto
+# Jittered schedules under ASan: latency jitter can fire a QP request event
+# after its operation has completed and its coroutine frame was recycled,
+# so event captures that borrow frame locals show up here as use-after-free
+# (pooled frames are poisoned, see sim::detail::FramePool).
+ASAN_OPTIONS=detect_leaks=0 "${prefix}-asan/bench/check_sweep" --seeds 2 \
+  --schedule-seeds 4 --schedule-jitter 300
+ASAN_OPTIONS=detect_leaks=0 "${prefix}-asan/bench/check_sweep" --seeds 2 \
+  --schedule-seeds 4 --bulkproto --schedule-jitter 200
 
 echo "==> ci.sh: all green"

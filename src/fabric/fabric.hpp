@@ -25,6 +25,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "fabric/address_space.hpp"
@@ -245,7 +246,12 @@ class Hca {
   /// static-connect model whose aggregate cost was charged analytically.
   QueuePair& materialize_qp(QpType type, RankId owner);
 
-  [[nodiscard]] QueuePair* find_qp(Qpn qpn) noexcept;
+  /// The live QP numbered `qpn`, or nullptr (QPN 0, never created, or
+  /// destroyed). QPNs are sequential and never reused, so this is one table
+  /// index, the way a verbs provider resolves a QPN.
+  [[nodiscard]] QueuePair* find_qp(Qpn qpn) noexcept {
+    return qpn - 1 < qps_.size() ? qps_[qpn - 1].get() : nullptr;
+  }
 
   /// Register `[start, start+len)` of `space` (charges registration cost
   /// proportional to the page count). Returns the `<addr, size, rkey>`
@@ -290,7 +296,7 @@ class Hca {
     return qps_created_;
   }
   [[nodiscard]] std::uint64_t qps_active() const noexcept {
-    return qps_.size();
+    return qps_live_;
   }
   [[nodiscard]] std::uint64_t regions_active() const noexcept {
     return regions_.size();
@@ -303,6 +309,7 @@ class Hca {
     std::uint64_t len;
   };
 
+  QueuePair& add_qp(QpType type, RankId owner);
   sim::Task<> destroy_qp_impl(Qpn qpn);
   sim::Task<MemoryRegion> register_memory_impl(AddressSpace& space,
                                                VirtAddr start,
@@ -315,11 +322,15 @@ class Hca {
   Qpn next_qpn_ = 1;
   RKey next_rkey_ = 1;
   std::uint64_t qps_created_ = 0;
+  std::uint64_t qps_live_ = 0;
   sim::Time next_injection_ = 0;
   sim::Time command_free_ = 0;
-  std::map<Qpn, std::unique_ptr<QueuePair>> qps_{};
+  /// Indexed by `qpn - 1`; a destroyed QP leaves a null entry behind.
+  std::vector<std::unique_ptr<QueuePair>> qps_{};
   std::map<RKey, Region> regions_{};
-  std::map<RankId, std::unique_ptr<sim::Mailbox<RcMessage>>> srqs_{};
+  /// At most PPN entries, searched linearly.
+  std::vector<std::pair<RankId, std::unique_ptr<sim::Mailbox<RcMessage>>>>
+      srqs_{};
 };
 
 /// The whole simulated network: one HCA per node plus the switch model.

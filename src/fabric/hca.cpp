@@ -9,43 +9,43 @@ Hca::Hca(Fabric& fabric, NodeId node, Lid lid)
     : fabric_(fabric), node_(node), lid_(lid) {}
 
 void Hca::attach_pe(RankId rank) {
-  auto [it, inserted] = srqs_.try_emplace(rank, nullptr);
-  if (!inserted) {
-    throw std::logic_error("Hca::attach_pe: rank already attached");
+  for (const auto& entry : srqs_) {
+    if (entry.first == rank) {
+      throw std::logic_error("Hca::attach_pe: rank already attached");
+    }
   }
-  it->second = std::make_unique<sim::Mailbox<RcMessage>>(fabric_.engine());
+  srqs_.emplace_back(
+      rank, std::make_unique<sim::Mailbox<RcMessage>>(fabric_.engine()));
 }
 
 sim::Task<QueuePair*> Hca::create_qp(QpType type, RankId owner) {
   co_await fabric_.engine().delay(fabric_.config().qp_create_cost);
-  Qpn qpn = next_qpn_++;
-  auto qp = std::make_unique<QueuePair>(*this, qpn, type, owner);
-  QueuePair* raw = qp.get();
-  qps_.emplace(qpn, std::move(qp));
-  ++qps_created_;
-  co_return raw;
+  co_return &add_qp(type, owner);
 }
 
 QueuePair& Hca::materialize_qp(QpType type, RankId owner) {
+  return add_qp(type, owner);
+}
+
+QueuePair& Hca::add_qp(QpType type, RankId owner) {
   Qpn qpn = next_qpn_++;
-  auto qp = std::make_unique<QueuePair>(*this, qpn, type, owner);
-  QueuePair* raw = qp.get();
-  qps_.emplace(qpn, std::move(qp));
+  qps_.push_back(std::make_unique<QueuePair>(*this, qpn, type, owner));
   ++qps_created_;
-  return *raw;
+  ++qps_live_;
+  return *qps_.back();
 }
 
 sim::Task<> Hca::destroy_qp(Qpn qpn) {
-  auto it = qps_.find(qpn);
-  if (it == qps_.end()) {
+  QueuePair* qp = find_qp(qpn);
+  if (qp == nullptr) {
     throw std::logic_error("Hca::destroy_qp: unknown qpn");
   }
-  if (it->second->outstanding() != 0) {
+  if (qp->outstanding() != 0) {
     throw std::logic_error(
         "Hca::destroy_qp: QP has outstanding work (owner rank " +
-        std::to_string(it->second->owner()) + ", type " +
-        std::to_string(static_cast<int>(it->second->type())) +
-        ", outstanding " + std::to_string(it->second->outstanding()) + ")");
+        std::to_string(qp->owner()) + ", type " +
+        std::to_string(static_cast<int>(qp->type())) + ", outstanding " +
+        std::to_string(qp->outstanding()) + ")");
   }
   return destroy_qp_impl(qpn);
 }
@@ -53,12 +53,10 @@ sim::Task<> Hca::destroy_qp(Qpn qpn) {
 sim::Task<> Hca::destroy_qp_impl(Qpn qpn) {
   sim::Time done = reserve_command_window(fabric_.config().qp_destroy_cost);
   co_await fabric_.engine().delay(done - fabric_.engine().now());
-  qps_.erase(qpn);
-}
-
-QueuePair* Hca::find_qp(Qpn qpn) noexcept {
-  auto it = qps_.find(qpn);
-  return it == qps_.end() ? nullptr : it->second.get();
+  if (qps_[qpn - 1] != nullptr) {
+    qps_[qpn - 1].reset();
+    --qps_live_;
+  }
 }
 
 sim::Task<MemoryRegion> Hca::register_memory(AddressSpace& space,
@@ -102,11 +100,10 @@ std::optional<std::span<std::byte>> Hca::resolve(VirtAddr raddr, RKey rkey,
 }
 
 sim::Mailbox<RcMessage>& Hca::srq(RankId rank) {
-  auto it = srqs_.find(rank);
-  if (it == srqs_.end()) {
-    throw std::logic_error("Hca::srq: rank not attached to this HCA");
+  for (const auto& entry : srqs_) {
+    if (entry.first == rank) return *entry.second;
   }
-  return *it->second;
+  throw std::logic_error("Hca::srq: rank not attached to this HCA");
 }
 
 sim::Time Hca::reserve_injection_slot() {
@@ -124,7 +121,7 @@ sim::Time Hca::reserve_command_window(sim::Time busy) {
 
 sim::Time Hca::cache_penalty() const noexcept {
   const auto& cfg = fabric_.config();
-  return qps_.size() > cfg.hca_cache_qps ? cfg.cache_miss_penalty : 0;
+  return qps_live_ > cfg.hca_cache_qps ? cfg.cache_miss_penalty : 0;
 }
 
 }  // namespace odcm::fabric

@@ -158,16 +158,18 @@ sim::Task<Completion> QueuePair::send_impl(std::vector<std::byte> payload,
   }
   RankId dst_rank = remote_qp->owner();
 
-  auto message = std::make_shared<RcMessage>(
-      RcMessage{lid(), qpn_, remote_.qpn, std::move(payload)});
-  engine.schedule_at(arrival, [&remote_hca, dst_rank, message] {
-    sim::Mailbox<RcMessage>& srq = remote_hca.srq(dst_rank);
-    // A drained (closed) receive queue flushes incoming messages, like a
-    // QP in the error state.
-    if (!srq.closed()) {
-      srq.push(std::move(*message));
-    }
-  });
+  // The arrival event owns the message: nothing of this frame is borrowed.
+  engine.schedule_at(
+      arrival, [&remote_hca, dst_rank,
+                message = RcMessage{lid(), qpn_, remote_.qpn,
+                                    std::move(payload)}]() mutable {
+        sim::Mailbox<RcMessage>& srq = remote_hca.srq(dst_rank);
+        // A drained (closed) receive queue flushes incoming messages, like a
+        // QP in the error state.
+        if (!srq.closed()) {
+          srq.push(std::move(message));
+        }
+      });
 
   sim::Gate done(engine);
   engine.schedule_at(arrival + hca_.fabric().config().ack_latency,
@@ -192,15 +194,18 @@ sim::Task<Completion> QueuePair::rdma_write_impl(VirtAddr raddr, RKey rkey,
   const auto byte_len = static_cast<std::uint32_t>(data.size());
   sim::Time arrival = schedule_arrival(data.size());
 
-  auto payload = std::make_shared<std::vector<std::byte>>(std::move(data));
+  // The request event owns the payload and shares the status: under
+  // schedule jitter it can fire after the completion below has resumed and
+  // destroyed this frame, so it must not borrow frame locals.
   auto status = std::make_shared<WcStatus>(WcStatus::kSuccess);
-  engine.schedule_at(arrival, [this, raddr, rkey, payload, status] {
-    auto window = resolve_remote(raddr, rkey, payload->size());
+  engine.schedule_at(arrival, [this, raddr, rkey, payload = std::move(data),
+                               status] {
+    auto window = resolve_remote(raddr, rkey, payload.size());
     if (!window) {
       *status = WcStatus::kRemoteAccessError;
       return;
     }
-    std::copy(payload->begin(), payload->end(), window->begin());
+    std::copy(payload.begin(), payload.end(), window->begin());
   });
 
   sim::Gate done(engine);
@@ -232,27 +237,32 @@ sim::Task<Completion> QueuePair::rdma_read_impl(VirtAddr raddr, RKey rkey,
       request_arrival + cfg.responder_overhead +
       hca_.fabric().transfer_latency(remote_.lid, lid(), dest.size());
 
-  auto snapshot = std::make_shared<std::vector<std::byte>>();
-  auto status = std::make_shared<WcStatus>(WcStatus::kSuccess);
-  engine.schedule_at(request_arrival,
-                     [this, raddr, rkey, byte_len, snapshot, status] {
-                       auto window = resolve_remote(raddr, rkey, byte_len);
-                       if (!window) {
-                         *status = WcStatus::kRemoteAccessError;
-                         return;
-                       }
-                       snapshot->assign(window->begin(), window->end());
-                     });
+  // Shared by the request and response events (one allocation per read):
+  // under schedule jitter the request can fire after the response has
+  // resumed and destroyed this frame.
+  struct ReadState {
+    WcStatus status = WcStatus::kSuccess;
+    std::vector<std::byte> snapshot{};
+  };
+  auto state = std::make_shared<ReadState>();
+  engine.schedule_at(request_arrival, [this, raddr, rkey, byte_len, state] {
+    auto window = resolve_remote(raddr, rkey, byte_len);
+    if (!window) {
+      state->status = WcStatus::kRemoteAccessError;
+      return;
+    }
+    state->snapshot.assign(window->begin(), window->end());
+  });
 
   sim::Gate done(engine);
-  engine.schedule_at(response_arrival, [dest, snapshot, status, &done] {
-    if (*status == WcStatus::kSuccess) {
-      std::copy(snapshot->begin(), snapshot->end(), dest.begin());
+  engine.schedule_at(response_arrival, [dest, state, &done] {
+    if (state->status == WcStatus::kSuccess) {
+      std::copy(state->snapshot.begin(), state->snapshot.end(), dest.begin());
     }
     done.open();
   });
   co_await done.wait();
-  co_return finish(wr_id, WcOpcode::kRdmaRead, *status, byte_len);
+  co_return finish(wr_id, WcOpcode::kRdmaRead, state->status, byte_len);
 }
 
 sim::Task<Completion> QueuePair::fetch_add(VirtAddr raddr, RKey rkey,

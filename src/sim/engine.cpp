@@ -23,9 +23,21 @@ constexpr std::uint64_t kJitterSalt = 0x6a09e667f3bcc909ULL;
 
 }  // namespace
 
-void Engine::schedule_at(Time t, std::function<void()> fn) {
+Engine::~Engine() {
+  // Destroy queued callbacks first: their captures may own coroutine frames,
+  // which then land in the pool before it is trimmed.
+  queue_ = {};
+  slots_.clear();
+  free_slots_.clear();
+  detail::FramePool::local().trim();
+}
+
+void Engine::schedule_at(Time t, Callback fn) {
   if (t < now_) {
     throw std::logic_error("Engine::schedule_at: time is in the past");
+  }
+  if (!fn) {
+    throw std::logic_error("Engine::schedule_at: empty callback");
   }
   const std::uint64_t seq = next_seq_++;
   std::uint64_t tie = seq;
@@ -40,7 +52,16 @@ void Engine::schedule_at(Time t, std::function<void()> fn) {
         mix_seeded(policy_.seed ^ kJitterSalt, seq) %
         (static_cast<std::uint64_t>(policy_.jitter_max) + 1));
   }
-  queue_.push(Event{t, tie, seq, std::move(fn)});
+  std::uint64_t slot = 0;
+  if (free_slots_.empty()) {
+    slot = slots_.size();
+    slots_.push_back(std::move(fn));
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    slots_[slot] = std::move(fn);
+  }
+  queue_.push(Event{t, tie, seq, slot});
 }
 
 void Engine::spawn(Task<> task) {
@@ -55,13 +76,15 @@ void Engine::spawn(Task<> task) {
 
 void Engine::run_loop() {
   while (!queue_.empty()) {
-    // std::priority_queue::top() is const; moving the callable out requires
-    // this cast, which is safe because pop() follows immediately.
-    Event event = std::move(const_cast<Event&>(queue_.top()));
+    const Event event = queue_.top();
     queue_.pop();
+    // Move the callback out before running it: it may schedule events,
+    // which can grow `slots_` or reuse this slot.
+    Callback fn = std::move(slots_[event.slot]);
+    free_slots_.push_back(event.slot);
     now_ = event.time;
     ++events_executed_;
-    event.fn();
+    fn();
     if (root_exception_) {
       std::exception_ptr exception = std::exchange(root_exception_, nullptr);
       std::rethrow_exception(exception);

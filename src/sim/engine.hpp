@@ -1,8 +1,9 @@
 // Deterministic discrete-event engine.
 //
-// The engine owns a priority queue of (time, sequence, callback) events and a
-// virtual clock. By default events scheduled for the same time fire in
-// insertion order, which makes every simulation run bit-for-bit reproducible.
+// The engine owns a priority queue of (time, sequence, slot) event keys, a
+// slot table holding each pending event's callback, and a virtual clock. By
+// default events scheduled for the same time fire in insertion order, which
+// makes every simulation run bit-for-bit reproducible.
 // Coroutine tasks suspend by scheduling their own resumption as events (see
 // `delay`, `sync.hpp`).
 //
@@ -16,11 +17,14 @@
 // replays bit-identically from the same policy.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <exception>
-#include <functional>
+#include <new>
 #include <queue>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -53,12 +57,92 @@ struct SchedulePolicy {
   }
 };
 
+/// Move-only `void()` callable stored inline: no heap allocation per event.
+/// Captures larger than `kCapacity` bytes, over-aligned, or with a throwing
+/// move constructor are rejected at compile time; there is no heap
+/// fallback. Capture a pointer to (or a `shared_ptr` of) bigger state.
+class Callback {
+ public:
+  static constexpr std::size_t kCapacity = 64;
+
+  Callback() noexcept = default;
+
+  template <typename F, typename Fn = std::decay_t<F>,
+            typename = std::enable_if_t<!std::is_same_v<Fn, Callback>>>
+  Callback(F&& fn) {  // implicit, so lambdas convert at call sites
+    static_assert(sizeof(Fn) <= kCapacity,
+                  "sim::Callback: capture exceeds the inline capacity");
+    static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                  "sim::Callback: capture is over-aligned");
+    static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                  "sim::Callback: capture must be nothrow-movable");
+    static_assert(std::is_invocable_r_v<void, Fn&>,
+                  "sim::Callback: callable must be invocable as void()");
+    ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(fn));
+    ops_ = &kOps<Fn>;
+  }
+
+  Callback(Callback&& other) noexcept : ops_(other.ops_) {
+    if (ops_ != nullptr) {
+      ops_->relocate(storage_, other.storage_);
+      other.ops_ = nullptr;
+    }
+  }
+  Callback& operator=(Callback&& other) noexcept {
+    if (this != &other) {
+      reset();
+      ops_ = std::exchange(other.ops_, nullptr);
+      if (ops_ != nullptr) ops_->relocate(storage_, other.storage_);
+    }
+    return *this;
+  }
+  Callback(const Callback&) = delete;
+  Callback& operator=(const Callback&) = delete;
+  ~Callback() { reset(); }
+
+  [[nodiscard]] explicit operator bool() const noexcept {
+    return ops_ != nullptr;
+  }
+
+  void operator()() { ops_->invoke(storage_); }
+
+ private:
+  struct Ops {
+    void (*invoke)(void* self);
+    /// Move-construct into `dst` from `src`, then destroy `src`.
+    void (*relocate)(void* dst, void* src) noexcept;
+    void (*destroy)(void* self) noexcept;
+  };
+
+  template <typename Fn>
+  static constexpr Ops kOps{
+      [](void* self) { (*static_cast<Fn*>(self))(); },
+      [](void* dst, void* src) noexcept {
+        ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
+        static_cast<Fn*>(src)->~Fn();
+      },
+      [](void* self) noexcept { static_cast<Fn*>(self)->~Fn(); },
+  };
+
+  void reset() noexcept {
+    if (ops_ != nullptr) {
+      std::exchange(ops_, nullptr)->destroy(storage_);
+    }
+  }
+
+  alignas(std::max_align_t) std::byte storage_[kCapacity];
+  const Ops* ops_ = nullptr;
+};
+
 /// Single-threaded discrete-event scheduler with a virtual clock.
 class Engine {
  public:
   Engine() = default;
   Engine(const Engine&) = delete;
   Engine& operator=(const Engine&) = delete;
+  /// Releases the captures of still-queued events, then returns the pooled
+  /// coroutine frames of this thread to the heap (`detail::FramePool`).
+  ~Engine();
 
   /// Current virtual time.
   [[nodiscard]] Time now() const noexcept { return now_; }
@@ -74,10 +158,10 @@ class Engine {
   }
 
   /// Schedule `fn` to run at absolute virtual time `t` (>= now()).
-  void schedule_at(Time t, std::function<void()> fn);
+  void schedule_at(Time t, Callback fn);
 
   /// Schedule `fn` to run `dt` nanoseconds from now.
-  void schedule_after(Time dt, std::function<void()> fn) {
+  void schedule_after(Time dt, Callback fn) {
     schedule_at(now_ + dt, std::move(fn));
   }
 
@@ -124,12 +208,16 @@ class Engine {
  private:
   friend void detail::finish_root(Engine&, std::exception_ptr) noexcept;
 
+  /// Queue key of one pending event; its callback lives in `slots_[slot]`.
+  /// The slot takes no part in the order, so slot recycling cannot reorder
+  /// events.
   struct Event {
     Time time;
     std::uint64_t tie;  ///< seq (insertion) or hash(seed, seq) (shuffle)
     std::uint64_t seq;
-    std::function<void()> fn;
+    std::uint64_t slot;
   };
+  static_assert(sizeof(Event) == 32);
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const noexcept {
       if (a.time != b.time) return a.time > b.time;
@@ -141,6 +229,8 @@ class Engine {
   void run_loop();
 
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_{};
+  std::vector<Callback> slots_{};
+  std::vector<std::uint64_t> free_slots_{};  ///< recycled `slots_` indices
   SchedulePolicy policy_{};
   Time now_ = 0;
   std::uint64_t next_seq_ = 0;

@@ -29,18 +29,15 @@ class Gate {
 
   [[nodiscard]] bool is_open() const noexcept { return open_; }
 
-  /// Open the gate and schedule every waiter for resumption.
+  /// Open the gate and schedule every waiter for resumption, in
+  /// registration order. Timed waiters that already timed out are skipped.
   void open() {
     if (open_) return;
     open_ = true;
-    for (auto& waiter : waiters_) {
-      if (!waiter->fired) {
-        waiter->fired = true;
-        auto handle = waiter->handle;
-        engine_->schedule_at(engine_->now(), [handle] { handle.resume(); });
-      }
-    }
-    waiters_.clear();
+    if (first_.handle) wake(first_);
+    for (Entry& entry : more_) wake(entry);
+    first_ = {};
+    more_.clear();
   }
 
   /// Awaitable: suspend until the gate opens (no-op if already open).
@@ -49,9 +46,7 @@ class Gate {
       Gate& gate;
       bool await_ready() const noexcept { return gate.open_; }
       void await_suspend(std::coroutine_handle<> handle) {
-        auto waiter = std::make_shared<Waiter>();
-        waiter->handle = handle;
-        gate.waiters_.push_back(std::move(waiter));
+        gate.add(Entry{handle, nullptr});
       }
       void await_resume() const noexcept {}
     };
@@ -67,15 +62,15 @@ class Gate {
       std::shared_ptr<Waiter> waiter{};
       bool await_ready() const noexcept { return gate.open_; }
       void await_suspend(std::coroutine_handle<> handle) {
+        // Shared with the timeout event, which outlives this awaiter when
+        // the gate opens first.
         waiter = std::make_shared<Waiter>();
-        waiter->handle = handle;
-        gate.waiters_.push_back(waiter);
-        auto shared = waiter;
-        gate.engine_->schedule_after(timeout, [shared] {
+        gate.add(Entry{handle, waiter});
+        gate.engine_->schedule_after(timeout, [shared = waiter, handle] {
           if (!shared->fired) {
             shared->fired = true;
             shared->timed_out = true;
-            shared->handle.resume();
+            handle.resume();
           }
         });
       }
@@ -87,15 +82,38 @@ class Gate {
   }
 
  private:
+  /// Race state of one `wait_for` waiter against its timeout.
   struct Waiter {
-    std::coroutine_handle<> handle{};
     bool fired = false;
     bool timed_out = false;
   };
+  /// One suspended waiter; `timed` is set for `wait_for` only.
+  struct Entry {
+    std::coroutine_handle<> handle{};
+    std::shared_ptr<Waiter> timed{};
+  };
+
+  void add(Entry entry) {
+    if (!first_.handle) {
+      first_ = std::move(entry);
+    } else {
+      more_.push_back(std::move(entry));
+    }
+  }
+
+  void wake(Entry& entry) {
+    if (entry.timed) {
+      if (entry.timed->fired) return;
+      entry.timed->fired = true;
+    }
+    auto handle = entry.handle;
+    engine_->schedule_at(engine_->now(), [handle] { handle.resume(); });
+  }
 
   Engine* engine_;
   bool open_ = false;
-  std::vector<std::shared_ptr<Waiter>> waiters_{};
+  Entry first_{};  ///< the common single waiter, kept off the heap
+  std::vector<Entry> more_{};
 };
 
 /// Multi-shot condition: `notify_all()` wakes every task currently waiting;

@@ -6,13 +6,31 @@
 // handed to `Engine::spawn` as a detached root task. Completion resumes the
 // awaiting parent via symmetric transfer, so arbitrarily deep call chains use
 // O(1) stack.
+//
+// Coroutine frames come from `detail::FramePool`, a per-thread free list per
+// 16-byte size class, so the per-message coroutine layers (send, connect,
+// dispatch) recycle frames instead of going to the heap each time.
 #pragma once
 
 #include <coroutine>
+#include <cstddef>
+#include <cstdint>
 #include <exception>
+#include <new>
 #include <optional>
 #include <type_traits>
 #include <utility>
+
+#if defined(__SANITIZE_ADDRESS__)
+#define ODCM_SIM_ASAN 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define ODCM_SIM_ASAN 1
+#endif
+#endif
+#if defined(ODCM_SIM_ASAN)
+#include <sanitizer/asan_interface.h>
+#endif
 
 namespace odcm::sim {
 
@@ -26,7 +44,112 @@ namespace detail {
 // Called from a root task's final suspend; defined in engine.cpp.
 void finish_root(Engine& engine, std::exception_ptr exception) noexcept;
 
+/// Recycles coroutine frames through one free list per 16-byte size class
+/// up to 4 KiB; larger frames go straight to the heap. Each list keeps at
+/// most `kCap` frames, and `~Engine` trims the whole pool, so the pool
+/// bounds its footprint instead of holding a job's peak frame population.
+/// Under ASan a pooled frame is poisoned, so a use after free of a
+/// coroutine frame is still reported.
+class FramePool {
+ public:
+  static constexpr std::size_t kGranule = 16;
+  static constexpr std::size_t kMaxPooledBytes = 4096;
+  static constexpr std::size_t kCap = 256;
+
+  /// The calling thread's pool.
+  static FramePool& local() noexcept {
+    static constinit thread_local FramePool pool;
+    return pool;
+  }
+
+  void* allocate(std::size_t bytes) {
+    if (bytes == 0 || bytes > kMaxPooledBytes) return ::operator new(bytes);
+    const std::size_t index = class_of(bytes);
+    Node* node = heads_[index];
+    if (node == nullptr) return ::operator new(class_bytes(index));
+    unpoison(node, class_bytes(index));
+    heads_[index] = node->next;
+    --counts_[index];
+    return node;
+  }
+
+  void deallocate(void* frame, std::size_t bytes) noexcept {
+    if (bytes == 0 || bytes > kMaxPooledBytes) {
+      ::operator delete(frame);
+      return;
+    }
+    const std::size_t index = class_of(bytes);
+    if (counts_[index] >= kCap) {
+      ::operator delete(frame);
+      return;
+    }
+    heads_[index] = ::new (frame) Node{heads_[index]};
+    ++counts_[index];
+    poison(frame, class_bytes(index));
+  }
+
+  /// Return every pooled frame to the heap.
+  void trim() noexcept {
+    for (std::size_t index = 0; index < kClasses; ++index) {
+      while (Node* node = heads_[index]) {
+        unpoison(node, class_bytes(index));
+        heads_[index] = node->next;
+        ::operator delete(node);
+      }
+      counts_[index] = 0;
+    }
+  }
+
+  /// Frames pooled in the size class of a `bytes`-byte frame.
+  [[nodiscard]] std::size_t cached(std::size_t bytes) const noexcept {
+    if (bytes == 0 || bytes > kMaxPooledBytes) return 0;
+    return counts_[class_of(bytes)];
+  }
+
+  /// Frames pooled across all size classes.
+  [[nodiscard]] std::size_t cached_total() const noexcept {
+    std::size_t total = 0;
+    for (std::uint32_t count : counts_) total += count;
+    return total;
+  }
+
+ private:
+  struct Node {
+    Node* next;
+  };
+  static constexpr std::size_t kClasses = kMaxPooledBytes / kGranule;
+
+  static constexpr std::size_t class_of(std::size_t bytes) noexcept {
+    return (bytes - 1) / kGranule;
+  }
+  static constexpr std::size_t class_bytes(std::size_t index) noexcept {
+    return (index + 1) * kGranule;
+  }
+  static void poison([[maybe_unused]] void* frame,
+                     [[maybe_unused]] std::size_t bytes) noexcept {
+#if defined(ODCM_SIM_ASAN)
+    ASAN_POISON_MEMORY_REGION(frame, bytes);
+#endif
+  }
+  static void unpoison([[maybe_unused]] void* frame,
+                       [[maybe_unused]] std::size_t bytes) noexcept {
+#if defined(ODCM_SIM_ASAN)
+    ASAN_UNPOISON_MEMORY_REGION(frame, bytes);
+#endif
+  }
+
+  Node* heads_[kClasses]{};
+  std::uint32_t counts_[kClasses]{};
+};
+
 struct PromiseBase {
+  static void* operator new(std::size_t bytes) {
+    return FramePool::local().allocate(bytes);
+  }
+  static void operator delete(void* frame, std::size_t bytes) noexcept {
+    FramePool::local().deallocate(frame, bytes);
+  }
+
   std::coroutine_handle<> continuation{};
   Engine* detached_engine = nullptr;
   std::exception_ptr exception{};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "fabric/fabric.hpp"
 #include "test_util.hpp"
@@ -226,6 +227,81 @@ TEST(AddressSpace, VaBasesAreDisjoint) {
   AddressSpace a(0, make_va_base(0), 1 << 20);
   AddressSpace b(1, make_va_base(1), 1 << 20);
   EXPECT_FALSE(a.contains(b.base(), 1));
+}
+
+TEST(Hca, FindQpRejectsZeroPastTheEndAndDestroyedQpns) {
+  Env env;
+  Hca& hca = env.fabric.hca(0);
+  EXPECT_EQ(hca.find_qp(0), nullptr);
+  EXPECT_EQ(hca.find_qp(1), nullptr);
+  QueuePair& qp = hca.materialize_qp(QpType::kRc, 0);
+  EXPECT_EQ(hca.find_qp(qp.qpn()), &qp);
+  EXPECT_EQ(hca.find_qp(qp.qpn() + 1), nullptr);
+  EXPECT_EQ(hca.find_qp(~Qpn{0}), nullptr);
+  env.engine.spawn([](Hca& h, Qpn qpn) -> sim::Task<> {
+    co_await h.destroy_qp(qpn);
+    EXPECT_EQ(h.find_qp(qpn), nullptr);
+    EXPECT_THROW((void)h.destroy_qp(qpn), std::logic_error);
+  }(hca, qp.qpn()));
+  env.engine.run();
+}
+
+TEST(Hca, QpnsAreNeverReusedAfterDestroy) {
+  Env env;
+  Hca& hca = env.fabric.hca(0);
+  Qpn first = hca.materialize_qp(QpType::kUd, 0).qpn();
+  Qpn second = hca.materialize_qp(QpType::kRc, 0).qpn();
+  EXPECT_EQ(second, first + 1);
+  env.engine.spawn([](Hca& h, Qpn a, Qpn b) -> sim::Task<> {
+    co_await h.destroy_qp(a);
+    co_await h.destroy_qp(b);
+    QueuePair* fresh = co_await h.create_qp(QpType::kRc, 0);
+    EXPECT_EQ(fresh->qpn(), b + 1);
+    EXPECT_EQ(h.find_qp(a), nullptr);
+    EXPECT_EQ(h.find_qp(b), nullptr);
+    EXPECT_EQ(h.find_qp(b + 1), fresh);
+  }(hca, first, second));
+  env.engine.run();
+  EXPECT_EQ(hca.qps_created(), 3u);
+  EXPECT_EQ(hca.qps_active(), 1u);
+}
+
+TEST(Hca, ActiveCountAndCachePenaltyFollowLiveQps) {
+  FabricConfig config;
+  config.hca_cache_qps = 2;
+  config.cache_miss_penalty = 50;
+  Env env(config);
+  Hca& hca = env.fabric.hca(0);
+  std::vector<Qpn> qpns;
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(hca.cache_penalty(), 0u);
+    qpns.push_back(hca.materialize_qp(QpType::kRc, 0).qpn());
+    EXPECT_EQ(hca.qps_active(), qpns.size());
+  }
+  EXPECT_EQ(hca.cache_penalty(), 50u);
+  env.engine.spawn([](Hca& h, Qpn qpn) -> sim::Task<> {
+    co_await h.destroy_qp(qpn);
+  }(hca, qpns[1]));
+  env.engine.run();
+  EXPECT_EQ(hca.qps_active(), 2u);
+  EXPECT_EQ(hca.cache_penalty(), 0u);
+  (void)hca.materialize_qp(QpType::kUd, 0);
+  EXPECT_EQ(hca.qps_active(), 3u);
+  EXPECT_EQ(hca.qps_created(), 4u);
+  EXPECT_EQ(hca.cache_penalty(), 50u);
+}
+
+TEST(Hca, SeveralPesPerNodeEachGetTheirOwnSrq) {
+  Env env;
+  Hca& hca = env.fabric.hca(0);
+  hca.attach_pe(2);
+  hca.attach_pe(5);
+  EXPECT_NE(&hca.srq(0), &hca.srq(2));
+  EXPECT_NE(&hca.srq(2), &hca.srq(5));
+  EXPECT_EQ(&hca.srq(5), &hca.srq(5));
+  EXPECT_THROW(hca.attach_pe(2), std::logic_error);
+  EXPECT_THROW((void)hca.srq(1), std::logic_error);  // attached on node 1
+  EXPECT_THROW((void)hca.srq(3), std::logic_error);
 }
 
 }  // namespace

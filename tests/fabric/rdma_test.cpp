@@ -205,5 +205,36 @@ TEST(Atomics, BadKeyYieldsError) {
   env.engine.run();
 }
 
+TEST(RdmaWrite, RequestEventMayOutliveItsOperationUnderJitter) {
+  // With jitter above ack_latency the remote write can fire after the
+  // completion resumed the operation and its coroutine frame was recycled.
+  // The task idles afterwards, so a request event that borrowed a frame
+  // local reads a pooled (and, under ASan, poisoned) frame.
+  int reordered = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    RdmaEnv env;
+    sim::SchedulePolicy policy;
+    policy.seed = seed;
+    policy.jitter_max = 4 * env.fabric.config().ack_latency;
+    env.engine.set_schedule_policy(policy);
+    env.engine.spawn([](RdmaEnv& e, std::uint64_t value,
+                        int& late) -> sim::Task<> {
+      std::vector<std::byte> data(8);
+      std::memcpy(data.data(), &value, sizeof(value));
+      Completion wc =
+          co_await e.qp_a->rdma_write(e.mr.addr + 256, e.mr.rkey, data);
+      EXPECT_TRUE(wc.ok());
+      std::uint64_t seen = 0;
+      std::memcpy(&seen, e.space.window(e.space.base() + 256, 8).data(), 8);
+      if (seen != value) ++late;
+      co_await e.engine.delay(10 * e.fabric.config().ack_latency);
+      std::memcpy(&seen, e.space.window(e.space.base() + 256, 8).data(), 8);
+      EXPECT_EQ(seen, value);
+    }(env, 1000 + seed, reordered));
+    env.engine.run();
+  }
+  EXPECT_GT(reordered, 0);  // the hazard was actually exercised
+}
+
 }  // namespace
 }  // namespace odcm::fabric

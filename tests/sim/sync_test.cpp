@@ -219,5 +219,33 @@ TEST(JoinCounter, ZeroChildrenCompletesImmediately) {
   EXPECT_TRUE(done);
 }
 
+TEST(Gate, MixedWaitersResumeInRegistrationOrderSkippingTimedOut) {
+  Engine engine;
+  Gate gate(engine);
+  std::vector<std::string> log;
+  auto untimed = [](Gate& g, std::vector<std::string>& out,
+                    std::string name) -> Task<> {
+    co_await g.wait();
+    out.push_back(name);
+  };
+  auto timed = [](Engine& eng, Gate& g, std::vector<std::string>& out,
+                  std::string name, Time timeout) -> Task<> {
+    bool opened = co_await g.wait_for(timeout);
+    out.push_back(name + (opened ? ":open@" : ":timeout@") +
+                  std::to_string(eng.now()));
+  };
+  // Registration order w0..w4; w0 (the first, inline waiter) and w3 time
+  // out before the gate opens at t=10.
+  engine.spawn(timed(engine, gate, log, "w0", 5));
+  engine.spawn(untimed(gate, log, "w1"));
+  engine.spawn(timed(engine, gate, log, "w2", 100));
+  engine.spawn(timed(engine, gate, log, "w3", 3));
+  engine.spawn(untimed(gate, log, "w4"));
+  engine.schedule_at(10, [&] { gate.open(); });
+  engine.run();
+  EXPECT_EQ(log, (std::vector<std::string>{"w3:timeout@3", "w0:timeout@5",
+                                           "w1", "w2:open@10", "w4"}));
+}
+
 }  // namespace
 }  // namespace odcm::sim

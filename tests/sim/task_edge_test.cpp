@@ -4,6 +4,7 @@
 
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
@@ -136,6 +137,86 @@ TEST(TaskEdge, ExceptionInValueTaskPropagates) {
   engine.run();
   EXPECT_EQ(caught, "typed boom");
 }
+
+TEST(FramePool, FreedFrameOfTheSameSizeClassIsReused) {
+  Engine engine;
+  detail::FramePool& pool = detail::FramePool::local();
+  pool.trim();
+  auto first = make_value(engine, 1).release();
+  void* address = first.address();
+  first.destroy();
+  EXPECT_EQ(pool.cached_total(), 1u);
+  auto second = make_value(engine, 2).release();
+  EXPECT_EQ(second.address(), address);
+  EXPECT_EQ(pool.cached_total(), 0u);
+  second.destroy();
+
+  // Direct pool use: sizes within one 16-byte class share a free list.
+  void* block = pool.allocate(40);
+  pool.deallocate(block, 40);
+  EXPECT_EQ(pool.cached(33), 1u);
+  void* again = pool.allocate(48);
+  EXPECT_EQ(again, block);
+  pool.deallocate(again, 48);
+  pool.trim();
+}
+
+TEST(FramePool, FreeListNeverExceedsItsCap) {
+  detail::FramePool& pool = detail::FramePool::local();
+  pool.trim();
+  constexpr std::size_t kBytes = 96;
+  std::vector<void*> blocks;
+  for (std::size_t i = 0; i < detail::FramePool::kCap + 50; ++i) {
+    blocks.push_back(pool.allocate(kBytes));
+  }
+  for (void* block : blocks) {
+    pool.deallocate(block, kBytes);
+    EXPECT_LE(pool.cached(kBytes), detail::FramePool::kCap);
+  }
+  EXPECT_EQ(pool.cached(kBytes), detail::FramePool::kCap);
+  // Frames above the largest class bypass the pool entirely.
+  void* large = pool.allocate(detail::FramePool::kMaxPooledBytes + 1);
+  pool.deallocate(large, detail::FramePool::kMaxPooledBytes + 1);
+  EXPECT_EQ(pool.cached(detail::FramePool::kMaxPooledBytes + 1), 0u);
+  EXPECT_EQ(pool.cached_total(), detail::FramePool::kCap);
+  pool.trim();
+  EXPECT_EQ(pool.cached_total(), 0u);
+}
+
+TEST(FramePool, EngineDestructorEmptiesThePool) {
+  detail::FramePool& pool = detail::FramePool::local();
+  {
+    Engine engine;
+    int sum = 0;
+    for (int i = 0; i < 10; ++i) {
+      engine.spawn([](Engine& eng, int& out, int v) -> Task<> {
+        out += co_await make_value(eng, v);
+      }(engine, sum, i));
+    }
+    engine.run();
+    EXPECT_EQ(sum, 45);
+    EXPECT_GT(pool.cached_total(), 0u);
+  }
+  EXPECT_EQ(pool.cached_total(), 0u);
+}
+
+#if defined(ODCM_SIM_ASAN)
+TEST(FramePool, PooledFramesArePoisonedUnderAsan) {
+  detail::FramePool& pool = detail::FramePool::local();
+  pool.trim();
+  void* block = pool.allocate(64);
+  EXPECT_FALSE(__asan_address_is_poisoned(block));
+  pool.deallocate(block, 64);
+  EXPECT_TRUE(__asan_address_is_poisoned(block));
+  EXPECT_TRUE(__asan_address_is_poisoned(static_cast<char*>(block) + 63));
+  void* again = pool.allocate(64);
+  ASSERT_EQ(again, block);
+  EXPECT_FALSE(__asan_address_is_poisoned(again));
+  EXPECT_FALSE(__asan_address_is_poisoned(static_cast<char*>(again) + 63));
+  pool.deallocate(again, 64);
+  pool.trim();
+}
+#endif
 
 }  // namespace
 }  // namespace odcm::sim
