@@ -17,39 +17,28 @@ echo "==> tier-1 build + tests (${prefix})"
 cmake -B "${prefix}" -S . "${generator[@]}" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DODCM_WERROR=ON
 cmake --build "${prefix}" -j "${jobs}"
+# The full run covers every labelled suite (perf-smoke, transport,
+# registration, torture, bulkproto, schedule): the tests are deterministic,
+# so running a label again in the same build repeats the same result.
 ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
 
-echo "==> perf smoke (label: perf-smoke)"
-ctest --test-dir "${prefix}" --output-on-failure -L perf-smoke
-
-echo "==> transport conformance matrix (label: transport)"
-ctest --test-dir "${prefix}" --output-on-failure -L transport
-
-echo "==> on-demand registration suite (label: registration)"
-ctest --test-dir "${prefix}" --output-on-failure -L registration
-
-echo "==> torture sweep (label: torture)"
-ctest --test-dir "${prefix}" --output-on-failure -L torture
+echo "==> torture sweep"
 "${prefix}/bench/check_sweep" --seeds 50 \
   --json "${prefix}/bench-artifacts/CHECK_sweep.json"
 
-echo "==> large-message protocol tiers (label: bulkproto)"
-# Wire-format fuzzing for the rendezvous/credit packets, tier routing and
-# zero-length pins, the byte-identical transport matrix over all tiers,
-# MPI rendezvous, and the credit/fragment-conservation torture cases.
-ctest --test-dir "${prefix}" --output-on-failure -L bulkproto
+echo "==> large-message protocol tiers sweep"
+# The credit/fragment-conservation torture cases over all tiers.
 "${prefix}/bench/check_sweep" --seeds 25 --bulkproto \
   --json "${prefix}/bench-artifacts/CHECK_bulkproto_sweep.json"
 "${prefix}/bench/check_sweep" --seeds 3 --schedule-seeds 4 --bulkproto \
   --schedule-jitter 200 \
   --json "${prefix}/bench-artifacts/CHECK_bulkproto_schedule_sweep.json"
 
-echo "==> schedule exploration (label: schedule)"
+echo "==> schedule exploration sweep"
 # Seeded tie-break permutation of same-timestamp events: every recipe x
 # mode base case re-run under perturbed schedules, plus a bounded-jitter
 # pass. On failure the JSON artifact carries the failing schedule seed and
 # the one-line minimized replay command next to the MICRO/BENCH artifacts.
-ctest --test-dir "${prefix}" --output-on-failure -L schedule
 "${prefix}/bench/check_sweep" --seeds 5 --schedule-seeds 8 \
   --json "${prefix}/bench-artifacts/CHECK_schedule_sweep.json"
 "${prefix}/bench/check_sweep" --seeds 3 --schedule-seeds 4 \
@@ -92,24 +81,9 @@ cmake --build "${prefix}-asan" -j "${jobs}"
 # Leak detection stays off: deadlock- and exception-path tests abandon
 # suspended coroutine frames by design (the engine documents this), which
 # LSan reports as leaks. ASan OOB/use-after-free and UBSan stay active.
+# As above, the full run already covers every labelled suite.
 ASAN_OPTIONS=detect_leaks=0 \
   ctest --test-dir "${prefix}-asan" --output-on-failure -j "${jobs}"
-# The transport matrix again under ASan/UBSan: the shm path is raw
-# cross-mapped memory, exactly where the sanitizers earn their keep.
-ASAN_OPTIONS=detect_leaks=0 \
-  ctest --test-dir "${prefix}-asan" --output-on-failure -L transport
-# And the registration suite: the pin-down cache's chunked regions and the
-# rkey-fault/invalidation drain are the newest pointer-heavy paths.
-ASAN_OPTIONS=detect_leaks=0 \
-  ctest --test-dir "${prefix}-asan" --output-on-failure -L registration
-# Schedule-perturbed suites under ASan: permuted wakeup orders reshuffle
-# coroutine frame lifetimes, which is exactly where use-after-free hides.
-ASAN_OPTIONS=detect_leaks=0 \
-  ctest --test-dir "${prefix}-asan" --output-on-failure -L schedule
-# The bulk tier engine under ASan: fragment streams hold spans and rkey
-# leases across suspension points — lifetime bugs would surface here.
-ASAN_OPTIONS=detect_leaks=0 \
-  ctest --test-dir "${prefix}-asan" --output-on-failure -L bulkproto
 ASAN_OPTIONS=detect_leaks=0 "${prefix}-asan/bench/check_sweep" --seeds 10
 ASAN_OPTIONS=detect_leaks=0 "${prefix}-asan/bench/check_sweep" --seeds 2 \
   --schedule-seeds 4

@@ -228,10 +228,11 @@ TortureResult run_case(const TortureCase& c) {
         co_await conduit.am_send(dst, 20, std::vector<std::byte>(16));
       } else {
         ++adds_sent[dst];
-        fabric::Completion wc = co_await conduit.atomic_fetch_add(
-            dst, mrs[dst].addr, mrs[dst].rkey, 1);
+        fabric::Completion wc =
+            co_await conduit.atomic(dst, mrs[dst].addr, mrs[dst].rkey,
+                                    fabric::WcOpcode::kFetchAdd, 1);
         if (!wc.ok() && body_failure.empty()) {
-          body_failure = "atomic_fetch_add failed toward rank " +
+          body_failure = "atomic fetch-add failed toward rank " +
                          std::to_string(dst);
         }
       }
@@ -241,7 +242,7 @@ TortureResult run_case(const TortureCase& c) {
         // sequential per PE, so the neighbor's final image is exactly the
         // last round's pattern). Same-node peers under the shm transport
         // carry no rendezvous — the tiers only exist on the RC path — so
-        // those rides go over shm_put and the audit stays byte-exact.
+        // those rides are plain shm writes and the audit stays byte-exact.
         const auto right = static_cast<fabric::RankId>((self + 1) % c.ranks);
         std::vector<std::byte> big =
             bulk_pattern(self, round, /*salt=*/1, kBulkRdvLen);
@@ -252,30 +253,30 @@ TortureResult run_case(const TortureCase& c) {
         const fabric::VirtAddr pipe_addr =
             spaces[right]->base() + kBulkPipeOffset;
         if (conduit.shm_routes(right)) {
-          fabric::Completion w0 = co_await conduit.shm_put(right, rdv_addr,
-                                                           big);
-          fabric::Completion w1 = co_await conduit.shm_put(right, pipe_addr,
-                                                           mid);
+          fabric::Completion w0 = co_await conduit.rma(
+              right, rdv_addr, 0, fabric::RmaRequest::write(big));
+          fabric::Completion w1 = co_await conduit.rma(
+              right, pipe_addr, 0, fabric::RmaRequest::write(mid));
           if ((!w0.ok() || !w1.ok()) && body_failure.empty()) {
-            body_failure = "bulk shm_put failed toward rank " +
+            body_failure = "bulk shm write failed toward rank " +
                            std::to_string(right);
           }
         } else {
-          const bool ok = co_await conduit.rendezvous_put(right, rdv_addr,
-                                                          big);
+          const bool ok = co_await conduit.rendezvous(
+              right, rdv_addr, fabric::RmaRequest::write(big));
           if (!ok && body_failure.empty()) {
-            body_failure = "rendezvous_put aborted toward rank " +
+            body_failure = "rendezvous put aborted toward rank " +
                            std::to_string(right) +
                            " with no on_cts veto installed";
           }
-          co_await conduit.put_fragmented(right, pipe_addr, mrs[right].rkey,
-                                          mid);
+          co_await conduit.fragmented(right, pipe_addr, mrs[right].rkey,
+                                      fabric::RmaRequest::write(mid));
           if (traffic.chance(0.25)) {
             // Read-back audit mid-run: the stream above drained before
             // returning, so a fragmented get must see exactly what we put.
             std::vector<std::byte> back(kBulkPipeLen);
-            co_await conduit.get_fragmented(right, pipe_addr,
-                                            mrs[right].rkey, back);
+            co_await conduit.fragmented(right, pipe_addr, mrs[right].rkey,
+                                        fabric::RmaRequest::read(back));
             if (back != mid && body_failure.empty()) {
               body_failure = "pipelined read-back mismatch at rank " +
                              std::to_string(self) + " round " +

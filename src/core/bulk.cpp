@@ -80,17 +80,15 @@ struct StreamState {
 };
 }  // namespace
 
-sim::Task<> Conduit::stream_fragments(RankId dst, bool is_get,
-                                      std::uint32_t seq,
+sim::Task<> Conduit::stream_fragments(RankId dst, std::uint32_t seq,
                                       std::vector<RdvRange> ranges,
-                                      std::span<const std::byte> src_data,
-                                      std::span<std::byte> dest_data) {
+                                      fabric::RmaRequest wr) {
   // Validate the range set against the transfer size BEFORE issuing
   // fragments: the ranges arrive from the peer's CTS, and a set covering
   // more bytes than the local buffer would drive the subspan() calls
   // below past the end. (RendezvousPacket::decode cross-checks CTS frames
   // too; this also guards ranges built by local sink resolvers.)
-  const std::uint64_t expected = is_get ? dest_data.size() : src_data.size();
+  const std::uint64_t expected = wr.length();
   std::uint64_t covered = 0;
   for (const RdvRange& range : ranges) {
     if (range.len > expected - covered) {
@@ -111,7 +109,7 @@ sim::Task<> Conduit::stream_fragments(RankId dst, bool is_get,
   auto state = std::make_shared<StreamState>(engine());
 
   std::uint32_t frag = 0;
-  std::uint64_t offset = 0;  // position in src_data / dest_data
+  std::uint64_t offset = 0;  // position in wr's source or sink
   for (const RdvRange& range : ranges) {
     for (std::uint64_t off = 0; off < range.len && !state->error;
          off += chunk) {
@@ -139,18 +137,13 @@ sim::Task<> Conduit::stream_fragments(RankId dst, bool is_get,
       ++state->in_flight;
       ++state->issued;
       engine().spawn(
-          [](Conduit& c, RankId dst, fabric::QueuePair* qp, bool is_get,
-             fabric::VirtAddr va, fabric::RKey rkey,
-             std::span<const std::byte> src, std::span<std::byte> dest,
+          [](Conduit& c, RankId dst, fabric::QueuePair* qp,
+             fabric::VirtAddr va, fabric::RKey rkey, fabric::RmaRequest part,
              std::uint32_t credit_epoch, std::uint32_t frag,
              std::uint32_t seq,
              std::shared_ptr<StreamState> state) -> sim::Task<> {
             try {
-              fabric::Completion wc =
-                  is_get ? co_await qp->rdma_read(va, rkey, dest)
-                         : co_await qp->rdma_write(
-                               va, rkey,
-                               std::vector<std::byte>(src.begin(), src.end()));
+              fabric::Completion wc = co_await qp->post(va, rkey, part);
               if (!wc.ok()) {
                 throw std::runtime_error(
                     "Conduit: bulk fragment " + std::to_string(frag) +
@@ -168,11 +161,8 @@ sim::Task<> Conduit::stream_fragments(RankId dst, bool is_get,
             --state->in_flight;
             ++state->completed;
             state->progress.notify_all();
-          }(*this, dst, qp, is_get, range.va + off, range.rkey,
-            is_get ? std::span<const std::byte>{}
-                   : src_data.subspan(offset, flen),
-            is_get ? dest_data.subspan(offset, flen) : std::span<std::byte>{},
-            *credit, frag, seq, state));
+          }(*this, dst, qp, range.va + off, range.rkey,
+            wr.slice(offset, flen), *credit, frag, seq, state));
       ++frag;
       offset += flen;
     }
@@ -186,24 +176,12 @@ sim::Task<> Conduit::stream_fragments(RankId dst, bool is_get,
   }
 }
 
-sim::Task<> Conduit::put_fragmented(RankId dst, fabric::VirtAddr raddr,
-                                    fabric::RKey rkey,
-                                    std::span<const std::byte> data) {
-  if (data.empty()) co_return;
+sim::Task<> Conduit::fragmented(RankId dst, fabric::VirtAddr raddr,
+                                fabric::RKey rkey, fabric::RmaRequest wr) {
+  if (wr.length() == 0) co_return;
   const std::uint32_t seq = ++rdv_seq_;
-  std::vector<RdvRange> ranges{RdvRange{raddr, data.size(), rkey}};
-  co_await stream_fragments(dst, /*is_get=*/false, seq, std::move(ranges),
-                            data, {});
-}
-
-sim::Task<> Conduit::get_fragmented(RankId dst, fabric::VirtAddr raddr,
-                                    fabric::RKey rkey,
-                                    std::span<std::byte> dest) {
-  if (dest.empty()) co_return;
-  const std::uint32_t seq = ++rdv_seq_;
-  std::vector<RdvRange> ranges{RdvRange{raddr, dest.size(), rkey}};
-  co_await stream_fragments(dst, /*is_get=*/true, seq, std::move(ranges), {},
-                            dest);
+  std::vector<RdvRange> ranges{RdvRange{raddr, wr.length(), rkey}};
+  co_await stream_fragments(dst, seq, std::move(ranges), wr);
 }
 
 // ---- rendezvous (RTS/CTS) ----
@@ -255,12 +233,11 @@ sim::Task<> Conduit::handle_rendezvous(RankId src,
   it->second.gate->open();
 }
 
-sim::Task<bool> Conduit::rendezvous_put(RankId dst, fabric::VirtAddr raddr,
-                                        std::span<const std::byte> data,
-                                        OnCts on_cts) {
+sim::Task<bool> Conduit::rendezvous(RankId dst, fabric::VirtAddr raddr,
+                                    fabric::RmaRequest wr, OnCts on_cts) {
   if (shm_routes(dst)) {
     throw std::logic_error(
-        "Conduit::rendezvous_put: shm peers need no rendezvous");
+        "Conduit::rendezvous: shm peers need no rendezvous");
   }
   // Establish before announcing: the RTS event must be observed on an
   // established pair (checker rule), and the RTS itself rides the RC AM
@@ -270,15 +247,15 @@ sim::Task<bool> Conduit::rendezvous_put(RankId dst, fabric::VirtAddr raddr,
   notify({.kind = ProtocolEvent::Kind::kRtsIssued,
           .peer = dst,
           .attempt = seq,
-          .detail = data.size()});
+          .detail = wr.length()});
   stats_.add("rdv_rts_sent");
   auto [it, inserted] = rdv_pending_.try_emplace(seq, engine());
   RendezvousPacket rts;
   rts.type = RdvMsgType::kRts;
-  rts.op = RdvOp::kPut;
+  rts.op = wr.is_get() ? RdvOp::kGet : RdvOp::kPut;
   rts.seq = seq;
   rts.raddr = raddr;
-  rts.len = data.size();
+  rts.len = wr.length();
   co_await am_send(dst, kRendezvousHandler, rts.encode());
   co_await it->second.gate->wait();
   std::vector<RdvRange> ranges = std::move(it->second.ranges);
@@ -293,52 +270,7 @@ sim::Task<bool> Conduit::rendezvous_put(RankId dst, fabric::VirtAddr raddr,
             .detail = 1});
     co_return false;
   }
-  co_await stream_fragments(dst, /*is_get=*/false, seq, std::move(ranges),
-                            data, {});
-  notify({.kind = ProtocolEvent::Kind::kRendezvousDone,
-          .peer = dst,
-          .attempt = seq});
-  stats_.add("rdv_done");
-  co_return true;
-}
-
-sim::Task<bool> Conduit::rendezvous_get(RankId dst, fabric::VirtAddr raddr,
-                                        std::span<std::byte> dest,
-                                        OnCts on_cts) {
-  if (shm_routes(dst)) {
-    throw std::logic_error(
-        "Conduit::rendezvous_get: shm peers need no rendezvous");
-  }
-  (void)co_await connected_qp(dst);
-  const std::uint32_t seq = ++rdv_seq_;
-  notify({.kind = ProtocolEvent::Kind::kRtsIssued,
-          .peer = dst,
-          .attempt = seq,
-          .detail = dest.size()});
-  stats_.add("rdv_rts_sent");
-  auto [it, inserted] = rdv_pending_.try_emplace(seq, engine());
-  RendezvousPacket rts;
-  rts.type = RdvMsgType::kRts;
-  rts.op = RdvOp::kGet;
-  rts.seq = seq;
-  rts.raddr = raddr;
-  rts.len = dest.size();
-  co_await am_send(dst, kRendezvousHandler, rts.encode());
-  co_await it->second.gate->wait();
-  std::vector<RdvRange> ranges = std::move(it->second.ranges);
-  rdv_pending_.erase(it);
-  if (on_cts && !on_cts(ranges)) {
-    stats_.add("rdv_aborted");
-    // Close the stream for the checker: an aborted rendezvous moved no
-    // fragments (detail=1 marks the abort) and will retry under a new seq.
-    notify({.kind = ProtocolEvent::Kind::kRendezvousDone,
-            .peer = dst,
-            .attempt = seq,
-            .detail = 1});
-    co_return false;
-  }
-  co_await stream_fragments(dst, /*is_get=*/true, seq, std::move(ranges), {},
-                            dest);
+  co_await stream_fragments(dst, seq, std::move(ranges), wr);
   notify({.kind = ProtocolEvent::Kind::kRendezvousDone,
           .peer = dst,
           .attempt = seq});

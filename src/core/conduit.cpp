@@ -1,6 +1,5 @@
 // Conduit lifecycle, listeners, active messages and RMA wrappers.
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -333,121 +332,54 @@ sim::Task<> Conduit::shm_am_send(RankId dst, std::uint16_t handler,
       fabric::RcMessage{.src_lid = hca().lid(), .payload = std::move(payload)});
 }
 
-sim::Task<fabric::Completion> Conduit::shm_put(RankId dst,
+namespace {
+/// Stat counters of one RMA: every transport counts the first, the shm
+/// transport also the second.
+std::pair<const char*, const char*> rma_counters(fabric::WcOpcode op) {
+  switch (op) {
+    case fabric::WcOpcode::kRdmaWrite: return {"rma_put", "rma_put_shm"};
+    case fabric::WcOpcode::kRdmaRead: return {"rma_get", "rma_get_shm"};
+    default: return {"rma_atomic", "rma_atomic_shm"};
+  }
+}
+}  // namespace
+
+sim::Task<fabric::Completion> Conduit::shm_rma(RankId dst,
                                                fabric::VirtAddr raddr,
-                                               std::vector<std::byte> data) {
+                                               fabric::RmaRequest wr) {
   const fabric::FabricConfig& fcfg = job_.fabric().config();
   const sim::Time start = engine().now();
+  const std::size_t len = wr.length();
   mark_shm_peer(dst);
-  stats_.add("rma_put");
-  stats_.add("rma_put_shm");
+  const auto [counter, shm_counter] = rma_counters(wr.opcode);
+  stats_.add(counter);
+  stats_.add(shm_counter);
   notify({.kind = ProtocolEvent::Kind::kShmIssued, .peer = dst});
-  co_await engine().delay(
-      fcfg.shm_copy_latency +
-      static_cast<sim::Time>(static_cast<double>(data.size()) /
-                             fcfg.shm_bytes_per_ns));
+  // A write reads its source at issue time, as the RC verb does at post.
+  std::vector<std::byte> payload(wr.src.begin(), wr.src.end());
+  wr.src = payload;
+  sim::Time cost = fcfg.shm_atomic_latency;
+  if (!wr.is_atomic()) {
+    cost = fcfg.shm_copy_latency +
+           static_cast<sim::Time>(static_cast<double>(len) /
+                                  fcfg.shm_bytes_per_ns);
+  }
+  co_await engine().delay(cost);
+  // The access happens at this single simulated instant, on the same
+  // AddressSpace bytes RC verbs resolve to through the HCA registration
+  // table — which is the whole coherence argument for atomics (DESIGN.md
+  // §5.14).
   fabric::Completion wc;
-  wc.opcode = fabric::WcOpcode::kRdmaWrite;
-  wc.byte_len = static_cast<std::uint32_t>(data.size());
-  auto window = shm_domain().resolve(dst, raddr, data.size());
+  wc.opcode = wr.opcode;
+  wc.byte_len = static_cast<std::uint32_t>(len);
+  auto window = shm_domain().resolve(dst, raddr, len);
   if (!window) {
     wc.status = fabric::WcStatus::kRemoteAccessError;
   } else {
-    std::copy(data.begin(), data.end(), window->begin());
+    wc.atomic_old = fabric::execute(wr, *window);
   }
   stats_.add_time("rma_shm_time", engine().now() - start);
   co_return wc;
-}
-
-sim::Task<fabric::Completion> Conduit::shm_get(RankId dst,
-                                               fabric::VirtAddr raddr,
-                                               std::span<std::byte> dest) {
-  const fabric::FabricConfig& fcfg = job_.fabric().config();
-  const sim::Time start = engine().now();
-  mark_shm_peer(dst);
-  stats_.add("rma_get");
-  stats_.add("rma_get_shm");
-  notify({.kind = ProtocolEvent::Kind::kShmIssued, .peer = dst});
-  co_await engine().delay(
-      fcfg.shm_copy_latency +
-      static_cast<sim::Time>(static_cast<double>(dest.size()) /
-                             fcfg.shm_bytes_per_ns));
-  fabric::Completion wc;
-  wc.opcode = fabric::WcOpcode::kRdmaRead;
-  wc.byte_len = static_cast<std::uint32_t>(dest.size());
-  auto window = shm_domain().resolve(dst, raddr, dest.size());
-  if (!window) {
-    wc.status = fabric::WcStatus::kRemoteAccessError;
-  } else {
-    std::copy(window->begin(), window->end(), dest.begin());
-  }
-  stats_.add_time("rma_shm_time", engine().now() - start);
-  co_return wc;
-}
-
-sim::Task<fabric::Completion> Conduit::shm_atomic(RankId dst,
-                                                  fabric::VirtAddr raddr,
-                                                  fabric::WcOpcode opcode,
-                                                  std::uint64_t operand,
-                                                  std::uint64_t expect) {
-  const fabric::FabricConfig& fcfg = job_.fabric().config();
-  const sim::Time start = engine().now();
-  mark_shm_peer(dst);
-  stats_.add("rma_atomic");
-  stats_.add("rma_atomic_shm");
-  notify({.kind = ProtocolEvent::Kind::kShmIssued, .peer = dst});
-  co_await engine().delay(fcfg.shm_atomic_latency);
-  // The read-modify-write happens atomically at this single simulated
-  // instant, on the same AddressSpace bytes RC atomics resolve to through
-  // the HCA registration table — which is the whole coherence argument
-  // (DESIGN.md §5.14).
-  fabric::Completion wc;
-  wc.opcode = opcode;
-  wc.byte_len = 8;
-  auto window = shm_domain().resolve(dst, raddr, 8);
-  if (!window) {
-    wc.status = fabric::WcStatus::kRemoteAccessError;
-  } else {
-    std::uint64_t value = 0;
-    std::memcpy(&value, window->data(), 8);
-    wc.atomic_old = value;
-    switch (opcode) {
-      case fabric::WcOpcode::kFetchAdd:
-        value += operand;
-        break;
-      case fabric::WcOpcode::kCompareSwap:
-        if (value == expect) value = operand;
-        break;
-      case fabric::WcOpcode::kSwap:
-        value = operand;
-        break;
-      default:
-        throw std::logic_error("Conduit::shm_atomic: bad opcode");
-    }
-    std::memcpy(window->data(), &value, 8);
-  }
-  stats_.add_time("rma_shm_time", engine().now() - start);
-  co_return wc;
-}
-
-sim::Task<fabric::Completion> Conduit::shm_fetch_add(RankId dst,
-                                                     fabric::VirtAddr raddr,
-                                                     std::uint64_t add) {
-  return shm_atomic(dst, raddr, fabric::WcOpcode::kFetchAdd, add, 0);
-}
-
-sim::Task<fabric::Completion> Conduit::shm_compare_swap(RankId dst,
-                                                        fabric::VirtAddr raddr,
-                                                        std::uint64_t expect,
-                                                        std::uint64_t desired) {
-  return shm_atomic(dst, raddr, fabric::WcOpcode::kCompareSwap, desired,
-                    expect);
-}
-
-sim::Task<fabric::Completion> Conduit::shm_swap(RankId dst,
-                                                fabric::VirtAddr raddr,
-                                                std::uint64_t value) {
-  return shm_atomic(dst, raddr, fabric::WcOpcode::kSwap, value, 0);
 }
 
 // ---- RMA ----
@@ -468,129 +400,41 @@ sim::Task<fabric::QueuePair*> Conduit::connected_qp(RankId dst) {
   co_return p.qp;
 }
 
-sim::Task<fabric::Completion> Conduit::put(RankId dst, fabric::VirtAddr raddr,
+sim::Task<fabric::Completion> Conduit::rma(RankId dst, fabric::VirtAddr raddr,
                                            fabric::RKey rkey,
-                                           std::vector<std::byte> data) {
+                                           fabric::RmaRequest wr) {
   if (shm_routes(dst)) {
-    co_return co_await shm_put(dst, raddr, std::move(data));
+    return shm_rma(dst, raddr, wr);
   }
+  return rc_rma(dst, raddr, rkey, wr);
+}
+
+sim::Task<fabric::Completion> Conduit::atomic(RankId dst,
+                                              fabric::VirtAddr raddr,
+                                              fabric::RKey rkey,
+                                              fabric::WcOpcode op,
+                                              std::uint64_t operand,
+                                              std::uint64_t compare) {
+  return rma(dst, raddr, rkey,
+             fabric::RmaRequest::atomic(op, operand, compare));
+}
+
+sim::Task<fabric::Completion> Conduit::rc_rma(RankId dst,
+                                              fabric::VirtAddr raddr,
+                                              fabric::RKey rkey,
+                                              fabric::RmaRequest wr) {
   const sim::Time start = engine().now();
   while (true) {
     fabric::QueuePair* qp = co_await connected_qp(dst);
     std::optional<std::uint32_t> credit = co_await acquire_credit(dst);
     if (!credit) continue;
-    stats_.add("rma_put");
+    stats_.add(rma_counters(wr.opcode).first);
     notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
     // Credits return on every completion path, exceptional included
     // (conservation audit; same guard as stream_fragments).
     fabric::Completion wc;
     try {
-      wc = co_await qp->rdma_write(raddr, rkey, std::move(data));
-    } catch (...) {
-      release_credit(dst, *credit);
-      throw;
-    }
-    release_credit(dst, *credit);
-    stats_.add_time("rma_rc_time", engine().now() - start);
-    co_return wc;
-  }
-}
-
-sim::Task<fabric::Completion> Conduit::get(RankId dst, fabric::VirtAddr raddr,
-                                           fabric::RKey rkey,
-                                           std::span<std::byte> dest) {
-  if (shm_routes(dst)) {
-    co_return co_await shm_get(dst, raddr, dest);
-  }
-  const sim::Time start = engine().now();
-  while (true) {
-    fabric::QueuePair* qp = co_await connected_qp(dst);
-    std::optional<std::uint32_t> credit = co_await acquire_credit(dst);
-    if (!credit) continue;
-    stats_.add("rma_get");
-    notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
-    fabric::Completion wc;
-    try {
-      wc = co_await qp->rdma_read(raddr, rkey, dest);
-    } catch (...) {
-      release_credit(dst, *credit);
-      throw;
-    }
-    release_credit(dst, *credit);
-    stats_.add_time("rma_rc_time", engine().now() - start);
-    co_return wc;
-  }
-}
-
-sim::Task<fabric::Completion> Conduit::atomic_fetch_add(
-    RankId dst, fabric::VirtAddr raddr, fabric::RKey rkey,
-    std::uint64_t add) {
-  if (shm_routes(dst)) {
-    co_return co_await shm_fetch_add(dst, raddr, add);
-  }
-  const sim::Time start = engine().now();
-  while (true) {
-    fabric::QueuePair* qp = co_await connected_qp(dst);
-    std::optional<std::uint32_t> credit = co_await acquire_credit(dst);
-    if (!credit) continue;
-    stats_.add("rma_atomic");
-    notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
-    fabric::Completion wc;
-    try {
-      wc = co_await qp->fetch_add(raddr, rkey, add);
-    } catch (...) {
-      release_credit(dst, *credit);
-      throw;
-    }
-    release_credit(dst, *credit);
-    stats_.add_time("rma_rc_time", engine().now() - start);
-    co_return wc;
-  }
-}
-
-sim::Task<fabric::Completion> Conduit::atomic_compare_swap(
-    RankId dst, fabric::VirtAddr raddr, fabric::RKey rkey,
-    std::uint64_t expect, std::uint64_t desired) {
-  if (shm_routes(dst)) {
-    co_return co_await shm_compare_swap(dst, raddr, expect, desired);
-  }
-  const sim::Time start = engine().now();
-  while (true) {
-    fabric::QueuePair* qp = co_await connected_qp(dst);
-    std::optional<std::uint32_t> credit = co_await acquire_credit(dst);
-    if (!credit) continue;
-    stats_.add("rma_atomic");
-    notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
-    fabric::Completion wc;
-    try {
-      wc = co_await qp->compare_swap(raddr, rkey, expect, desired);
-    } catch (...) {
-      release_credit(dst, *credit);
-      throw;
-    }
-    release_credit(dst, *credit);
-    stats_.add_time("rma_rc_time", engine().now() - start);
-    co_return wc;
-  }
-}
-
-sim::Task<fabric::Completion> Conduit::atomic_swap(RankId dst,
-                                                   fabric::VirtAddr raddr,
-                                                   fabric::RKey rkey,
-                                                   std::uint64_t value) {
-  if (shm_routes(dst)) {
-    co_return co_await shm_swap(dst, raddr, value);
-  }
-  const sim::Time start = engine().now();
-  while (true) {
-    fabric::QueuePair* qp = co_await connected_qp(dst);
-    std::optional<std::uint32_t> credit = co_await acquire_credit(dst);
-    if (!credit) continue;
-    stats_.add("rma_atomic");
-    notify({.kind = ProtocolEvent::Kind::kRdmaIssued, .peer = dst});
-    fabric::Completion wc;
-    try {
-      wc = co_await qp->swap(raddr, rkey, value);
+      wc = co_await qp->post(raddr, rkey, wr);
     } catch (...) {
       release_credit(dst, *credit);
       throw;

@@ -126,7 +126,7 @@ using RendezvousSink = std::function<sim::Task<std::vector<RdvRange>>(
     RankId src, RdvOp op, fabric::VirtAddr raddr, std::uint64_t len)>;
 
 /// Initiator-side hook run when the CTS arrives, before any data moves.
-/// Returning false aborts the transfer (rendezvous_put/get return false and
+/// Returning false aborts the transfer (`rendezvous` returns false and
 /// the caller retries with a fresh RTS) — the on-demand registration mode
 /// uses this to reject a CTS whose rkeys lost a race with an invalidation.
 using OnCts = std::function<bool(const std::vector<RdvRange>& ranges)>;
@@ -200,42 +200,26 @@ class Conduit {
                                        fabric::VirtAddr base,
                                        std::uint64_t len);
 
-  // Explicit shm data path (put/get/atomic_* below route here on their
-  // own; these entry points let upper layers that resolve addresses
-  // without an rkey — the shm path needs none — call in directly).
-  [[nodiscard]] sim::Task<fabric::Completion> shm_put(
-      RankId dst, fabric::VirtAddr raddr, std::vector<std::byte> data);
-  [[nodiscard]] sim::Task<fabric::Completion> shm_get(
-      RankId dst, fabric::VirtAddr raddr, std::span<std::byte> dest);
-  [[nodiscard]] sim::Task<fabric::Completion> shm_fetch_add(
-      RankId dst, fabric::VirtAddr raddr, std::uint64_t add);
-  [[nodiscard]] sim::Task<fabric::Completion> shm_compare_swap(
-      RankId dst, fabric::VirtAddr raddr, std::uint64_t expect,
-      std::uint64_t desired);
-  [[nodiscard]] sim::Task<fabric::Completion> shm_swap(
-      RankId dst, fabric::VirtAddr raddr, std::uint64_t value);
-
   // ---- RMA (extended API) ----
 
   /// RC QP connected to `dst`, establishing the connection if needed.
   [[nodiscard]] sim::Task<fabric::QueuePair*> connected_qp(RankId dst);
 
-  [[nodiscard]] sim::Task<fabric::Completion> put(
-      RankId dst, fabric::VirtAddr raddr, fabric::RKey rkey,
-      std::vector<std::byte> data);
-  [[nodiscard]] sim::Task<fabric::Completion> get(RankId dst,
+  /// One RMA toward `dst` (DESIGN.md §5.20). A same-node peer under the
+  /// shm transport gets a copy through the node's shm domain (`rkey` is
+  /// unused); any other peer gets the credited RC loop: connect on demand,
+  /// take a flow-control credit, report kRdmaIssued, post the verb, and
+  /// return the credit on every path. `wr`'s spans must stay valid until
+  /// the returned task completes.
+  [[nodiscard]] sim::Task<fabric::Completion> rma(RankId dst,
                                                   fabric::VirtAddr raddr,
                                                   fabric::RKey rkey,
-                                                  std::span<std::byte> dest);
-  [[nodiscard]] sim::Task<fabric::Completion> atomic_fetch_add(
+                                                  fabric::RmaRequest wr);
+  /// `rma` with an atomic request (`op`, `operand`, `compare` as in
+  /// `fabric::apply_atomic`).
+  [[nodiscard]] sim::Task<fabric::Completion> atomic(
       RankId dst, fabric::VirtAddr raddr, fabric::RKey rkey,
-      std::uint64_t add);
-  [[nodiscard]] sim::Task<fabric::Completion> atomic_compare_swap(
-      RankId dst, fabric::VirtAddr raddr, fabric::RKey rkey,
-      std::uint64_t expect, std::uint64_t desired);
-  [[nodiscard]] sim::Task<fabric::Completion> atomic_swap(
-      RankId dst, fabric::VirtAddr raddr, fabric::RKey rkey,
-      std::uint64_t value);
+      fabric::WcOpcode op, std::uint64_t operand, std::uint64_t compare = 0);
 
   // ---- large-message tiering + flow control (DESIGN.md §5.17) ----
 
@@ -257,25 +241,19 @@ class Conduit {
     rendezvous_sink_ = std::move(sink);
   }
 
-  /// Rendezvous put/get: RTS → (target posts sink) → CTS → fragment stream.
-  /// Returns false when `on_cts` rejected the grant (caller retries).
-  [[nodiscard]] sim::Task<bool> rendezvous_put(RankId dst,
-                                               fabric::VirtAddr raddr,
-                                               std::span<const std::byte> data,
-                                               OnCts on_cts = {});
-  [[nodiscard]] sim::Task<bool> rendezvous_get(RankId dst,
-                                               fabric::VirtAddr raddr,
-                                               std::span<std::byte> dest,
-                                               OnCts on_cts = {});
+  /// Rendezvous transfer of a write or read `wr`: RTS → (target posts
+  /// sink) → CTS → fragment stream. Returns false when `on_cts` rejected
+  /// the grant (caller retries).
+  [[nodiscard]] sim::Task<bool> rendezvous(RankId dst, fabric::VirtAddr raddr,
+                                           fabric::RmaRequest wr,
+                                           OnCts on_cts = {});
 
-  /// Pipelined (mid-tier) transfer: split into `bulk_chunk_bytes` fragments
-  /// streamed under the credit window (no RTS/CTS round trip).
-  [[nodiscard]] sim::Task<> put_fragmented(RankId dst, fabric::VirtAddr raddr,
-                                           fabric::RKey rkey,
-                                           std::span<const std::byte> data);
-  [[nodiscard]] sim::Task<> get_fragmented(RankId dst, fabric::VirtAddr raddr,
-                                           fabric::RKey rkey,
-                                           std::span<std::byte> dest);
+  /// Pipelined (mid-tier) transfer of a write or read `wr`: split into
+  /// `bulk_chunk_bytes` fragments streamed under the credit window (no
+  /// RTS/CTS round trip).
+  [[nodiscard]] sim::Task<> fragmented(RankId dst, fabric::VirtAddr raddr,
+                                       fabric::RKey rkey,
+                                       fabric::RmaRequest wr);
 
   /// Acquire one flow-control credit toward `dst`, suspending while the
   /// window is exhausted. Returns the credit epoch to pass to
@@ -465,11 +443,14 @@ class Conduit {
   /// shm cost model — dispatch stays transport-independent.
   sim::Task<> shm_am_send(RankId dst, std::uint16_t handler,
                           std::vector<std::byte> payload);
-  /// Shared body of the three shm atomics (`opcode` selects the RMW).
-  sim::Task<fabric::Completion> shm_atomic(RankId dst, fabric::VirtAddr raddr,
-                                           fabric::WcOpcode opcode,
-                                           std::uint64_t operand,
-                                           std::uint64_t expect);
+  /// The shm half of `rma`: charge the shm cost model, then carry `wr`
+  /// out on the cross-mapped target bytes.
+  sim::Task<fabric::Completion> shm_rma(RankId dst, fabric::VirtAddr raddr,
+                                        fabric::RmaRequest wr);
+  /// The RC half of `rma`: the connect → credit → verb → release loop.
+  sim::Task<fabric::Completion> rc_rma(RankId dst, fabric::VirtAddr raddr,
+                                       fabric::RKey rkey,
+                                       fabric::RmaRequest wr);
   /// First-contact accounting for the shm path (Table I peer counts).
   void mark_shm_peer(RankId dst);
 
@@ -483,14 +464,12 @@ class Conduit {
   /// Target/initiator halves of the RTS/CTS exchange (AM kRendezvousHandler).
   sim::Task<> handle_rendezvous(RankId src, std::vector<std::byte> payload);
   /// Shared fragment streamer of the pipelined and rendezvous tiers:
-  /// fragments `ranges` into `bulk_chunk_bytes` pieces issued strictly in
-  /// order under the credit/window bound; put streams from `src_data`, get
-  /// (is_get) lands into `dest_data`. `seq` keys the fragment-ordering
-  /// invariant per (pair, stream).
-  sim::Task<> stream_fragments(RankId dst, bool is_get, std::uint32_t seq,
+  /// fragments `ranges` into `bulk_chunk_bytes` pieces of the write or read
+  /// `wr`, issued strictly in order under the credit/window bound. `seq`
+  /// keys the fragment-ordering invariant per (pair, stream).
+  sim::Task<> stream_fragments(RankId dst, std::uint32_t seq,
                                std::vector<RdvRange> ranges,
-                               std::span<const std::byte> src_data,
-                               std::span<std::byte> dest_data);
+                               fabric::RmaRequest wr);
   /// One pending rendezvous at the initiator, keyed by seq: the CTS opens
   /// the gate and deposits the granted ranges.
   struct RdvPending {

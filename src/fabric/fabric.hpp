@@ -136,23 +136,19 @@ class QueuePair {
                                                 std::span<std::byte> dest,
                                                 WrId wr_id = 0);
 
-  /// Atomic fetch-and-add on a remote 8-byte location; the prior value is
-  /// returned in `Completion::atomic_old`.
-  [[nodiscard]] sim::Task<Completion> fetch_add(VirtAddr raddr, RKey rkey,
-                                                std::uint64_t add,
-                                                WrId wr_id = 0);
+  /// Atomic on a remote 8-byte word: `op` is kFetchAdd, kCompareSwap or
+  /// kSwap, with `operand`/`compare` as in `apply_atomic`. The prior value
+  /// is returned in `Completion::atomic_old`.
+  [[nodiscard]] sim::Task<Completion> atomic(WcOpcode op, VirtAddr raddr,
+                                             RKey rkey, std::uint64_t operand,
+                                             std::uint64_t compare = 0,
+                                             WrId wr_id = 0);
 
-  /// Atomic compare-and-swap; swaps in `desired` iff the current value is
-  /// `expect`. Prior value returned in `Completion::atomic_old`.
-  [[nodiscard]] sim::Task<Completion> compare_swap(VirtAddr raddr, RKey rkey,
-                                                   std::uint64_t expect,
-                                                   std::uint64_t desired,
-                                                   WrId wr_id = 0);
-
-  /// Unconditional atomic swap (extended atomics). Prior value returned in
-  /// `Completion::atomic_old`.
-  [[nodiscard]] sim::Task<Completion> swap(VirtAddr raddr, RKey rkey,
-                                           std::uint64_t value,
+  /// Post `wr` against remote `(raddr, rkey)` through the verb its opcode
+  /// names. A write copies `wr.src` at post time; a read's `wr.sink` must
+  /// stay valid until the returned task completes.
+  [[nodiscard]] sim::Task<Completion> post(VirtAddr raddr, RKey rkey,
+                                           const RmaRequest& wr,
                                            WrId wr_id = 0);
 
   // ---- UD operations (state must be RTS) ----
@@ -192,13 +188,9 @@ class QueuePair {
                                         WrId wr_id);
   sim::Task<Completion> rdma_read_impl(VirtAddr raddr, RKey rkey,
                                        std::span<std::byte> dest, WrId wr_id);
-  sim::Task<Completion> fetch_add_impl(VirtAddr raddr, RKey rkey,
-                                       std::uint64_t add, WrId wr_id);
-  sim::Task<Completion> compare_swap_impl(VirtAddr raddr, RKey rkey,
-                                          std::uint64_t expect,
-                                          std::uint64_t desired, WrId wr_id);
-  sim::Task<Completion> swap_impl(VirtAddr raddr, RKey rkey,
-                                  std::uint64_t value, WrId wr_id);
+  sim::Task<Completion> atomic_impl(WcOpcode op, VirtAddr raddr, RKey rkey,
+                                    std::uint64_t operand,
+                                    std::uint64_t compare, WrId wr_id);
   sim::Task<Completion> send_ud_impl(Lid dlid, Qpn dqpn, UdPayload payload,
                                      WrId wr_id);
   /// Resolve a remote (raddr, rkey) at the connected peer HCA.

@@ -1,5 +1,4 @@
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -25,16 +24,6 @@ bool valid_transition(QpState from, QpState to) {
     default:
       return false;
   }
-}
-
-std::uint64_t load_u64(std::span<const std::byte> window) {
-  std::uint64_t value = 0;
-  std::memcpy(&value, window.data(), sizeof(value));
-  return value;
-}
-
-void store_u64(std::span<std::byte> window, std::uint64_t value) {
-  std::memcpy(window.data(), &value, sizeof(value));
 }
 
 struct AtomicResult {
@@ -265,16 +254,21 @@ sim::Task<Completion> QueuePair::rdma_read_impl(VirtAddr raddr, RKey rkey,
   co_return finish(wr_id, WcOpcode::kRdmaRead, state->status, byte_len);
 }
 
-sim::Task<Completion> QueuePair::fetch_add(VirtAddr raddr, RKey rkey,
-                                           std::uint64_t add, WrId wr_id) {
-  require_type(QpType::kRc, "fetch_add");
-  require_state(QpState::kRts, "fetch_add");
-  return fetch_add_impl(raddr, rkey, add, wr_id);
+sim::Task<Completion> QueuePair::atomic(WcOpcode op, VirtAddr raddr, RKey rkey,
+                                        std::uint64_t operand,
+                                        std::uint64_t compare, WrId wr_id) {
+  require_type(QpType::kRc, "atomic");
+  require_state(QpState::kRts, "atomic");
+  if (!is_atomic(op)) {
+    throw std::logic_error("QueuePair::atomic: not an atomic opcode");
+  }
+  return atomic_impl(op, raddr, rkey, operand, compare, wr_id);
 }
 
-sim::Task<Completion> QueuePair::fetch_add_impl(VirtAddr raddr, RKey rkey,
-                                                std::uint64_t add,
-                                                WrId wr_id) {
+sim::Task<Completion> QueuePair::atomic_impl(WcOpcode op, VirtAddr raddr,
+                                             RKey rkey, std::uint64_t operand,
+                                             std::uint64_t compare,
+                                             WrId wr_id) {
   ++outstanding_;
   sim::Engine& engine = hca_.fabric().engine();
   const FabricConfig& cfg = hca_.fabric().config();
@@ -285,101 +279,36 @@ sim::Task<Completion> QueuePair::fetch_add_impl(VirtAddr raddr, RKey rkey,
                                      sizeof(std::uint64_t));
 
   auto result = std::make_shared<AtomicResult>();
-  engine.schedule_at(request_arrival, [this, raddr, rkey, add, result] {
+  engine.schedule_at(request_arrival, [this, raddr, rkey, op, operand,
+                                       compare, result] {
     auto window = resolve_remote(raddr, rkey, sizeof(std::uint64_t));
     if (!window) {
       result->status = WcStatus::kRemoteAccessError;
       return;
     }
-    result->old_value = load_u64(*window);
-    store_u64(*window, result->old_value + add);
+    result->old_value =
+        execute(RmaRequest::atomic(op, operand, compare), *window);
   });
 
   sim::Gate done(engine);
   engine.schedule_at(response_arrival, [&done] { done.open(); });
   co_await done.wait();
-  co_return finish(wr_id, WcOpcode::kFetchAdd, result->status,
-                   sizeof(std::uint64_t), result->old_value);
+  co_return finish(wr_id, op, result->status, sizeof(std::uint64_t),
+                   result->old_value);
 }
 
-sim::Task<Completion> QueuePair::compare_swap(VirtAddr raddr, RKey rkey,
-                                              std::uint64_t expect,
-                                              std::uint64_t desired,
-                                              WrId wr_id) {
-  require_type(QpType::kRc, "compare_swap");
-  require_state(QpState::kRts, "compare_swap");
-  return compare_swap_impl(raddr, rkey, expect, desired, wr_id);
-}
-
-sim::Task<Completion> QueuePair::compare_swap_impl(VirtAddr raddr, RKey rkey,
-                                                   std::uint64_t expect,
-                                                   std::uint64_t desired,
-                                                   WrId wr_id) {
-  ++outstanding_;
-  sim::Engine& engine = hca_.fabric().engine();
-  const FabricConfig& cfg = hca_.fabric().config();
-  sim::Time request_arrival = schedule_arrival(sizeof(std::uint64_t));
-  sim::Time response_arrival =
-      request_arrival + cfg.responder_overhead +
-      hca_.fabric().transfer_latency(remote_.lid, lid(),
-                                     sizeof(std::uint64_t));
-
-  auto result = std::make_shared<AtomicResult>();
-  engine.schedule_at(request_arrival,
-                     [this, raddr, rkey, expect, desired, result] {
-                       auto window =
-                           resolve_remote(raddr, rkey, sizeof(std::uint64_t));
-                       if (!window) {
-                         result->status = WcStatus::kRemoteAccessError;
-                         return;
-                       }
-                       result->old_value = load_u64(*window);
-                       if (result->old_value == expect) {
-                         store_u64(*window, desired);
-                       }
-                     });
-
-  sim::Gate done(engine);
-  engine.schedule_at(response_arrival, [&done] { done.open(); });
-  co_await done.wait();
-  co_return finish(wr_id, WcOpcode::kCompareSwap, result->status,
-                   sizeof(std::uint64_t), result->old_value);
-}
-
-sim::Task<Completion> QueuePair::swap(VirtAddr raddr, RKey rkey,
-                                      std::uint64_t value, WrId wr_id) {
-  require_type(QpType::kRc, "swap");
-  require_state(QpState::kRts, "swap");
-  return swap_impl(raddr, rkey, value, wr_id);
-}
-
-sim::Task<Completion> QueuePair::swap_impl(VirtAddr raddr, RKey rkey,
-                                           std::uint64_t value, WrId wr_id) {
-  ++outstanding_;
-  sim::Engine& engine = hca_.fabric().engine();
-  const FabricConfig& cfg = hca_.fabric().config();
-  sim::Time request_arrival = schedule_arrival(sizeof(std::uint64_t));
-  sim::Time response_arrival =
-      request_arrival + cfg.responder_overhead +
-      hca_.fabric().transfer_latency(remote_.lid, lid(),
-                                     sizeof(std::uint64_t));
-
-  auto result = std::make_shared<AtomicResult>();
-  engine.schedule_at(request_arrival, [this, raddr, rkey, value, result] {
-    auto window = resolve_remote(raddr, rkey, sizeof(std::uint64_t));
-    if (!window) {
-      result->status = WcStatus::kRemoteAccessError;
-      return;
-    }
-    result->old_value = load_u64(*window);
-    store_u64(*window, value);
-  });
-
-  sim::Gate done(engine);
-  engine.schedule_at(response_arrival, [&done] { done.open(); });
-  co_await done.wait();
-  co_return finish(wr_id, WcOpcode::kSwap, result->status,
-                   sizeof(std::uint64_t), result->old_value);
+sim::Task<Completion> QueuePair::post(VirtAddr raddr, RKey rkey,
+                                      const RmaRequest& wr, WrId wr_id) {
+  switch (wr.opcode) {
+    case WcOpcode::kRdmaWrite:
+      return rdma_write(raddr, rkey,
+                        std::vector<std::byte>(wr.src.begin(), wr.src.end()),
+                        wr_id);
+    case WcOpcode::kRdmaRead:
+      return rdma_read(raddr, rkey, wr.sink, wr_id);
+    default:
+      return atomic(wr.opcode, raddr, rkey, wr.operand, wr.compare, wr_id);
+  }
 }
 
 // ---- UD operations ----

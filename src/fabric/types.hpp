@@ -6,9 +6,13 @@
 // equivalent to IP address and port number" (paper §IV-A).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace odcm::fabric {
@@ -66,6 +70,99 @@ struct Completion {
     return status == WcStatus::kSuccess;
   }
 };
+
+constexpr bool is_atomic(WcOpcode op) noexcept {
+  return op == WcOpcode::kFetchAdd || op == WcOpcode::kCompareSwap ||
+         op == WcOpcode::kSwap;
+}
+
+/// The one definition of the three atomic verbs: the value an atomic with
+/// `op` leaves behind at a word that held `old`. `operand` is the addend
+/// (fetch-add) or the value swapped in (swap, compare-swap); `compare` is
+/// compare-swap's expected value. Every layer takes (operand, compare) in
+/// this order.
+constexpr std::uint64_t apply_atomic(WcOpcode op, std::uint64_t old,
+                                     std::uint64_t operand,
+                                     std::uint64_t compare) {
+  switch (op) {
+    case WcOpcode::kFetchAdd:
+      return old + operand;
+    case WcOpcode::kCompareSwap:
+      return old == compare ? operand : old;
+    case WcOpcode::kSwap:
+      return operand;
+    default:
+      throw std::logic_error("fabric::apply_atomic: not an atomic opcode");
+  }
+}
+
+/// One RMA work request, shaped like a verbs send work request: the opcode
+/// selects write, read or an atomic. `src` is a write's payload and `sink`
+/// a read's destination (the `is_get` + source span + sink span convention
+/// of the bulk streamer); atomics act on one 8-byte word with `operand`
+/// and `compare` as in `apply_atomic`.
+struct RmaRequest {
+  WcOpcode opcode = WcOpcode::kRdmaWrite;
+  std::span<const std::byte> src{};
+  std::span<std::byte> sink{};
+  std::uint64_t operand = 0;
+  std::uint64_t compare = 0;
+
+  static RmaRequest write(std::span<const std::byte> src) {
+    return {.opcode = WcOpcode::kRdmaWrite, .src = src};
+  }
+  static RmaRequest read(std::span<std::byte> sink) {
+    return {.opcode = WcOpcode::kRdmaRead, .sink = sink};
+  }
+  static RmaRequest atomic(WcOpcode op, std::uint64_t operand,
+                           std::uint64_t compare) {
+    return {.opcode = op, .operand = operand, .compare = compare};
+  }
+
+  [[nodiscard]] bool is_get() const noexcept {
+    return opcode == WcOpcode::kRdmaRead;
+  }
+  [[nodiscard]] bool is_atomic() const noexcept {
+    return fabric::is_atomic(opcode);
+  }
+  /// Bytes the request touches at the target.
+  [[nodiscard]] std::size_t length() const noexcept {
+    if (is_atomic()) return sizeof(std::uint64_t);
+    return is_get() ? sink.size() : src.size();
+  }
+  /// The part of a write or read covering `[offset, offset + len)`. An
+  /// atomic is indivisible and returns itself.
+  [[nodiscard]] RmaRequest slice(std::size_t offset, std::size_t len) const {
+    RmaRequest part = *this;
+    if (is_get()) {
+      part.sink = sink.subspan(offset, len);
+    } else if (!is_atomic()) {
+      part.src = src.subspan(offset, len);
+    }
+    return part;
+  }
+};
+
+/// Carry out `wr` on `window` (exactly `wr.length()` bytes of target
+/// memory), the way the responder does. Returns the word's prior value for
+/// an atomic, 0 otherwise.
+inline std::uint64_t execute(const RmaRequest& wr,
+                             std::span<std::byte> window) {
+  if (wr.opcode == WcOpcode::kRdmaWrite) {
+    std::copy(wr.src.begin(), wr.src.end(), window.begin());
+    return 0;
+  }
+  if (wr.opcode == WcOpcode::kRdmaRead) {
+    std::copy(window.begin(), window.end(), wr.sink.begin());
+    return 0;
+  }
+  std::uint64_t old = 0;
+  std::memcpy(&old, window.data(), sizeof(old));
+  const std::uint64_t next =
+      apply_atomic(wr.opcode, old, wr.operand, wr.compare);
+  std::memcpy(window.data(), &next, sizeof(next));
+  return old;
+}
 
 /// Immutable datagram payload, shared between the sender's retransmission
 /// buffer and every delivered (possibly duplicated) copy of the datagram.

@@ -226,300 +226,222 @@ const SegmentInfo& ShmemPe::peer_segment(RankId dst) {
 }
 
 std::pair<fabric::VirtAddr, fabric::RKey> ShmemPe::remote_addr(
-    RankId dst, SymAddr addr, std::size_t len) {
+    RankId dst, SymAddr addr) {
   const SegmentInfo& segment = peer_segment(dst);
-  if (addr + len > segment.size) {
-    throw std::out_of_range("ShmemPe: symmetric address out of heap");
-  }
   return {segment.addr + addr, segment.rkey};
 }
 
-// ---- local fast paths ----
+// ---- RMA routers (DESIGN.md §5.20) ----
 
-sim::Task<> ShmemPe::local_copy_in(SymAddr dest,
-                                   std::span<const std::byte> data) {
-  const ShmemConfig& cfg = config();
-  co_await engine().delay(
-      cfg.local_copy_latency +
-      static_cast<sim::Time>(static_cast<double>(data.size()) /
-                             cfg.local_bytes_per_ns));
-  auto window = local_window(dest, data.size());
-  std::copy(data.begin(), data.end(), window.begin());
-}
-
-sim::Task<> ShmemPe::local_copy_out(SymAddr src, std::span<std::byte> dest) {
-  const ShmemConfig& cfg = config();
-  co_await engine().delay(
-      cfg.local_copy_latency +
-      static_cast<sim::Time>(static_cast<double>(dest.size()) /
-                             cfg.local_bytes_per_ns));
-  auto window = local_window(src, dest.size());
-  std::copy(window.begin(), window.end(), dest.begin());
-}
-
-sim::Task<std::uint64_t> ShmemPe::local_atomic(SymAddr addr,
-                                               std::uint64_t operand,
-                                               std::uint64_t expect,
-                                               int kind) {
-  co_await engine().delay(config().local_copy_latency);
-  std::uint64_t old = local_read<std::uint64_t>(addr);
-  switch (kind) {
-    case 0:  // fetch-add
-      local_write<std::uint64_t>(addr, old + operand);
-      break;
-    case 1:  // swap
-      local_write<std::uint64_t>(addr, operand);
-      break;
-    case 2:  // compare-swap
-      if (old == expect) local_write<std::uint64_t>(addr, operand);
-      break;
-    default:
-      throw std::logic_error("ShmemPe::local_atomic: bad kind");
+void ShmemPe::check_access(const char* op, SymAddr addr,
+                           std::size_t len) const {
+  if (!initialized_) {
+    throw std::logic_error(std::string("ShmemPe::") + op +
+                           ": called outside start_pes()..finalize()");
   }
-  co_return old;
+  // Every PE's heap has the same size, so one check against the config
+  // covers self, shm, segment-info and rank-deterministic addressing. It
+  // is written so that `addr + len` cannot wrap around.
+  const std::uint64_t size = config().heap_bytes;
+  if (len != 0 && (len > size || addr > size - len)) {
+    throw std::out_of_range(std::string("ShmemPe::") + op +
+                            ": symmetric address out of heap");
+  }
 }
 
-// ---- RMA ----
+sim::Task<> ShmemPe::rma(const char* op, RankId dst, SymAddr addr,
+                         fabric::RmaRequest wr) {
+  check_access(op, addr, wr.length());
+  return route_rma(op, dst, addr, wr);
+}
 
-sim::Task<> ShmemPe::put(RankId dst, SymAddr dest,
-                         std::span<const std::byte> data) {
-  stats().add("shmem_put");
-  if (data.empty()) {
-    // Zero-length puts are complete no-ops (OpenSHMEM 1.4 §9.3): no
+sim::Task<> ShmemPe::route_rma(const char* op, RankId dst, SymAddr addr,
+                               fabric::RmaRequest wr) {
+  const std::size_t len = wr.length();
+  stats().add(wr.is_get() ? "shmem_get" : "shmem_put");
+  if (len == 0) {
+    // Zero-length transfers are complete no-ops (OpenSHMEM 1.4 §9.3): no
     // connection, no registration fault, no credit, no modeled latency.
     co_return;
   }
   if (dst == rank_) {
-    co_await local_copy_in(dest, data);
+    (void)co_await local_rma(addr, wr);
     co_return;
   }
+  fabric::Completion wc;
   if (conduit_.shm_routes(dst)) {
     // Same-node peer over the shm transport: CMA-style copy into the
     // cross-mapped segment; resolution is by rank, no rkey involved.
-    auto [va, rkey] = remote_addr(dst, dest, data.size());
-    fabric::Completion wc = co_await conduit_.shm_put(
-        dst, va, std::vector<std::byte>(data.begin(), data.end()));
-    if (!wc.ok()) {
-      throw std::runtime_error("ShmemPe::put: shm write failed");
+    auto [va, rkey] = remote_addr(dst, addr);
+    wc = co_await conduit_.rma(dst, va, rkey, wr);
+  } else {
+    const core::BulkTier tier = conduit_.select_tier(len);
+    if (conduit_.config().tiering_enabled()) {
+      switch (tier) {
+        case core::BulkTier::kEager: stats().add("bulk_tier_eager"); break;
+        case core::BulkTier::kPipelined:
+          stats().add("bulk_tier_pipelined");
+          break;
+        case core::BulkTier::kRendezvous:
+          stats().add("bulk_tier_rendezvous");
+          break;
+      }
     }
-    co_return;
-  }
-  const core::BulkTier tier = conduit_.select_tier(data.size());
-  if (conduit_.config().tiering_enabled()) {
-    switch (tier) {
-      case core::BulkTier::kEager: stats().add("bulk_tier_eager"); break;
-      case core::BulkTier::kPipelined:
-        stats().add("bulk_tier_pipelined");
-        break;
-      case core::BulkTier::kRendezvous:
-        stats().add("bulk_tier_rendezvous");
-        break;
+    if (tier == core::BulkTier::kRendezvous) {
+      co_await bulk_rendezvous(dst, addr, wr);
+      co_return;
+    }
+    if (reg_on_demand()) {
+      wc = co_await reg_rma(dst, addr, wr,
+                            tier == core::BulkTier::kPipelined);
+    } else if (tier == core::BulkTier::kPipelined) {
+      // Segment info may ride the connection handshake; establish first.
+      (void)co_await conduit_.connected_qp(dst);
+      auto [va, rkey] = remote_addr(dst, addr);
+      co_await conduit_.fragmented(dst, va, rkey, wr);
+      co_return;
+    } else {
+      fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
+      auto [va, rkey] = remote_addr(dst, addr);
+      std::optional<std::uint32_t> credit;
+      while (true) {
+        credit = co_await conduit_.acquire_credit(dst);
+        if (credit) break;
+        // Connection torn down while stalled on credits; re-establish.
+        qp = co_await conduit_.connected_qp(dst);
+      }
+      wc = co_await qp->post(va, rkey, wr);
+      conduit_.release_credit(dst, *credit);
     }
   }
-  if (tier == core::BulkTier::kRendezvous) {
-    co_await bulk_rendezvous_put(dst, dest, data);
-    co_return;
-  }
-  if (reg_on_demand()) {
-    co_await reg_put(dst, dest,
-                     std::vector<std::byte>(data.begin(), data.end()),
-                     tier == core::BulkTier::kPipelined);
-    co_return;
-  }
-  if (tier == core::BulkTier::kPipelined) {
-    // Segment info may ride the connection handshake; establish first.
-    (void)co_await conduit_.connected_qp(dst);
-    auto [va, rkey] = remote_addr(dst, dest, data.size());
-    co_await conduit_.put_fragmented(dst, va, rkey, data);
-    co_return;
-  }
-  fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-  auto [va, rkey] = remote_addr(dst, dest, data.size());
-  std::optional<std::uint32_t> credit;
-  while (true) {
-    credit = co_await conduit_.acquire_credit(dst);
-    if (credit) break;
-    // Connection torn down while stalled on credits; re-establish.
-    qp = co_await conduit_.connected_qp(dst);
-  }
-  fabric::Completion wc = co_await qp->rdma_write(
-      va, rkey, std::vector<std::byte>(data.begin(), data.end()));
-  conduit_.release_credit(dst, *credit);
   if (!wc.ok()) {
-    throw std::runtime_error("ShmemPe::put: RDMA write failed");
+    throw std::runtime_error(std::string("ShmemPe::") + op +
+                             ": remote access failed");
   }
+}
+
+void ShmemPe::rma_nbi(const char* op, RankId dst, SymAddr addr,
+                      fabric::RmaRequest wr) {
+  // `wr.src` points into `owned` from here on: moving the vector into the
+  // spawned frame below keeps its buffer where it is.
+  std::vector<std::byte> owned(wr.src.begin(), wr.src.end());
+  wr.src = owned;
+  sim::Task<> transfer = rma(op, dst, addr, wr);
+  ++pending_puts_;
+  engine().spawn([](ShmemPe& pe, std::vector<std::byte> /*source*/,
+                    sim::Task<> transfer) -> sim::Task<> {
+    co_await transfer;
+    if (--pe.pending_puts_ == 0) {
+      pe.puts_drained_->notify_all();
+    }
+  }(*this, std::move(owned), std::move(transfer)));
+}
+
+sim::Task<std::uint64_t> ShmemPe::atomic(const char* op, RankId dst,
+                                         SymAddr addr, fabric::WcOpcode opcode,
+                                         std::uint64_t operand,
+                                         std::uint64_t compare) {
+  check_access(op, addr, sizeof(std::uint64_t));
+  // Natural alignment keeps an atomic inside one registration chunk and
+  // one cache line, whatever the transport and registration mode.
+  if (addr % sizeof(std::uint64_t) != 0) {
+    throw std::invalid_argument(std::string("ShmemPe::") + op +
+                                ": address is not 8-byte aligned");
+  }
+  return route_atomic(op, dst, addr,
+                      fabric::RmaRequest::atomic(opcode, operand, compare));
+}
+
+sim::Task<std::uint64_t> ShmemPe::route_atomic(const char* op, RankId dst,
+                                               SymAddr addr,
+                                               fabric::RmaRequest wr) {
+  stats().add("shmem_atomic");
+  if (dst == rank_) {
+    co_return co_await local_rma(addr, wr);
+  }
+  fabric::Completion wc;
+  if (conduit_.shm_routes(dst)) {
+    auto [va, rkey] = remote_addr(dst, addr);
+    wc = co_await conduit_.rma(dst, va, rkey, wr);
+  } else if (reg_on_demand()) {
+    wc = co_await reg_rma(dst, addr, wr, /*fragmented=*/false);
+  } else {
+    fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
+    auto [va, rkey] = remote_addr(dst, addr);
+    wc = co_await qp->post(va, rkey, wr);
+  }
+  if (!wc.ok()) {
+    throw std::runtime_error(std::string("ShmemPe::") + op +
+                             ": remote atomic failed");
+  }
+  co_return wc.atomic_old;
+}
+
+sim::Task<std::uint64_t> ShmemPe::local_rma(SymAddr addr,
+                                            fabric::RmaRequest wr) {
+  const ShmemConfig& cfg = config();
+  sim::Time cost = cfg.local_copy_latency;
+  if (!wr.is_atomic()) {
+    cost += static_cast<sim::Time>(static_cast<double>(wr.length()) /
+                                   cfg.local_bytes_per_ns);
+  }
+  co_await engine().delay(cost);
+  co_return fabric::execute(wr, local_window(addr, wr.length()));
+}
+
+// ---- remote memory access (public API) ----
+
+sim::Task<> ShmemPe::put(RankId dst, SymAddr dest,
+                         std::span<const std::byte> data) {
+  return rma("put", dst, dest, fabric::RmaRequest::write(data));
 }
 
 void ShmemPe::put_nbi(RankId dst, SymAddr dest,
                       std::span<const std::byte> data) {
-  ++pending_puts_;
-  engine().spawn([](ShmemPe& pe, RankId dst, SymAddr dest,
-                    std::vector<std::byte> data) -> sim::Task<> {
-    co_await pe.put(dst, dest, data);
-    if (--pe.pending_puts_ == 0) {
-      pe.puts_drained_->notify_all();
-    }
-  }(*this, dst, dest, std::vector<std::byte>(data.begin(), data.end())));
+  rma_nbi("put_nbi", dst, dest, fabric::RmaRequest::write(data));
 }
 
 sim::Task<> ShmemPe::get(RankId dst, SymAddr src, std::span<std::byte> dest) {
-  stats().add("shmem_get");
-  if (dest.empty()) {
-    co_return;  // zero-length: no-op, mirrors put()
-  }
-  if (dst == rank_) {
-    co_await local_copy_out(src, dest);
-    co_return;
-  }
-  if (conduit_.shm_routes(dst)) {
-    auto [va, rkey] = remote_addr(dst, src, dest.size());
-    fabric::Completion wc = co_await conduit_.shm_get(dst, va, dest);
-    if (!wc.ok()) {
-      throw std::runtime_error("ShmemPe::get: shm read failed");
-    }
-    co_return;
-  }
-  const core::BulkTier tier = conduit_.select_tier(dest.size());
-  if (conduit_.config().tiering_enabled()) {
-    switch (tier) {
-      case core::BulkTier::kEager: stats().add("bulk_tier_eager"); break;
-      case core::BulkTier::kPipelined:
-        stats().add("bulk_tier_pipelined");
-        break;
-      case core::BulkTier::kRendezvous:
-        stats().add("bulk_tier_rendezvous");
-        break;
-    }
-  }
-  if (tier == core::BulkTier::kRendezvous) {
-    co_await bulk_rendezvous_get(dst, src, dest);
-    co_return;
-  }
-  if (reg_on_demand()) {
-    co_await reg_get(dst, src, dest, tier == core::BulkTier::kPipelined);
-    co_return;
-  }
-  if (tier == core::BulkTier::kPipelined) {
-    (void)co_await conduit_.connected_qp(dst);
-    auto [va, rkey] = remote_addr(dst, src, dest.size());
-    co_await conduit_.get_fragmented(dst, va, rkey, dest);
-    co_return;
-  }
-  fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-  auto [va, rkey] = remote_addr(dst, src, dest.size());
-  std::optional<std::uint32_t> credit;
-  while (true) {
-    credit = co_await conduit_.acquire_credit(dst);
-    if (credit) break;
-    qp = co_await conduit_.connected_qp(dst);
-  }
-  fabric::Completion wc = co_await qp->rdma_read(va, rkey, dest);
-  conduit_.release_credit(dst, *credit);
-  if (!wc.ok()) {
-    throw std::runtime_error("ShmemPe::get: RDMA read failed");
-  }
+  return rma("get", dst, src, fabric::RmaRequest::read(dest));
 }
 
 void ShmemPe::get_nbi(RankId dst, SymAddr src, std::span<std::byte> dest) {
   // Shares the outstanding-op counter with put_nbi: shmem_quiet completes
   // both kinds (OpenSHMEM 1.3 §9.8).
-  ++pending_puts_;
-  engine().spawn([](ShmemPe& pe, RankId dst, SymAddr src,
-                    std::span<std::byte> dest) -> sim::Task<> {
-    co_await pe.get(dst, src, dest);
-    if (--pe.pending_puts_ == 0) {
-      pe.puts_drained_->notify_all();
-    }
-  }(*this, dst, src, dest));
+  rma_nbi("get_nbi", dst, src, fabric::RmaRequest::read(dest));
 }
-
-// ---- atomics ----
 
 sim::Task<std::uint64_t> ShmemPe::atomic_fetch_add(RankId dst, SymAddr addr,
                                                    std::uint64_t v) {
-  stats().add("shmem_atomic");
-  if (dst == rank_) {
-    co_return co_await local_atomic(addr, v, 0, 0);
-  }
-  if (conduit_.shm_routes(dst)) {
-    auto [va, rkey] = remote_addr(dst, addr, sizeof(std::uint64_t));
-    fabric::Completion wc = co_await conduit_.shm_fetch_add(dst, va, v);
-    if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-    co_return wc.atomic_old;
-  }
-  if (reg_on_demand()) {
-    fabric::Completion wc = co_await reg_atomic(dst, addr, 0, v, 0);
-    if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-    co_return wc.atomic_old;
-  }
-  fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-  auto [va, rkey] = remote_addr(dst, addr, sizeof(std::uint64_t));
-  fabric::Completion wc = co_await qp->fetch_add(va, rkey, v);
-  if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-  co_return wc.atomic_old;
+  return atomic("atomic_fetch_add", dst, addr, fabric::WcOpcode::kFetchAdd,
+                v, 0);
 }
 
 sim::Task<std::uint64_t> ShmemPe::atomic_fetch_inc(RankId dst, SymAddr addr) {
-  co_return co_await atomic_fetch_add(dst, addr, 1);
+  return atomic("atomic_fetch_inc", dst, addr, fabric::WcOpcode::kFetchAdd,
+                1, 0);
 }
 
 sim::Task<> ShmemPe::atomic_add(RankId dst, SymAddr addr, std::uint64_t v) {
-  (void)co_await atomic_fetch_add(dst, addr, v);
+  (void)co_await atomic("atomic_add", dst, addr, fabric::WcOpcode::kFetchAdd,
+                        v, 0);
 }
 
 sim::Task<> ShmemPe::atomic_inc(RankId dst, SymAddr addr) {
-  (void)co_await atomic_fetch_add(dst, addr, 1);
+  (void)co_await atomic("atomic_inc", dst, addr, fabric::WcOpcode::kFetchAdd,
+                        1, 0);
 }
 
 sim::Task<std::uint64_t> ShmemPe::atomic_swap(RankId dst, SymAddr addr,
                                               std::uint64_t v) {
-  stats().add("shmem_atomic");
-  if (dst == rank_) {
-    co_return co_await local_atomic(addr, v, 0, 1);
-  }
-  if (conduit_.shm_routes(dst)) {
-    auto [va, rkey] = remote_addr(dst, addr, sizeof(std::uint64_t));
-    fabric::Completion wc = co_await conduit_.shm_swap(dst, va, v);
-    if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-    co_return wc.atomic_old;
-  }
-  if (reg_on_demand()) {
-    fabric::Completion wc = co_await reg_atomic(dst, addr, 1, v, 0);
-    if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-    co_return wc.atomic_old;
-  }
-  fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-  auto [va, rkey] = remote_addr(dst, addr, sizeof(std::uint64_t));
-  fabric::Completion wc = co_await qp->swap(va, rkey, v);
-  if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-  co_return wc.atomic_old;
+  return atomic("atomic_swap", dst, addr, fabric::WcOpcode::kSwap, v, 0);
 }
 
 sim::Task<std::uint64_t> ShmemPe::atomic_compare_swap(RankId dst, SymAddr addr,
                                                       std::uint64_t expect,
                                                       std::uint64_t desired) {
-  stats().add("shmem_atomic");
-  if (dst == rank_) {
-    co_return co_await local_atomic(addr, desired, expect, 2);
-  }
-  if (conduit_.shm_routes(dst)) {
-    auto [va, rkey] = remote_addr(dst, addr, sizeof(std::uint64_t));
-    fabric::Completion wc =
-        co_await conduit_.shm_compare_swap(dst, va, expect, desired);
-    if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-    co_return wc.atomic_old;
-  }
-  if (reg_on_demand()) {
-    fabric::Completion wc =
-        co_await reg_atomic(dst, addr, 2, expect, desired);
-    if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-    co_return wc.atomic_old;
-  }
-  fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-  auto [va, rkey] = remote_addr(dst, addr, sizeof(std::uint64_t));
-  fabric::Completion wc = co_await qp->compare_swap(va, rkey, expect, desired);
-  if (!wc.ok()) throw std::runtime_error("ShmemPe: atomic failed");
-  co_return wc.atomic_old;
+  return atomic("atomic_compare_swap", dst, addr,
+                fabric::WcOpcode::kCompareSwap, desired, expect);
 }
 
 // ---- strided transfers / local pointers ----
@@ -527,6 +449,7 @@ sim::Task<std::uint64_t> ShmemPe::atomic_compare_swap(RankId dst, SymAddr addr,
 void ShmemPe::iput(RankId dst, SymAddr dest, std::span<const std::byte> data,
                    std::uint32_t dst_stride, std::uint32_t src_stride,
                    std::uint32_t elem, std::uint32_t nelems) {
+  check_access("iput", dest, 0);
   if (dst_stride == 0 || src_stride == 0 || elem == 0) {
     throw std::invalid_argument("ShmemPe::iput: zero stride or element");
   }
@@ -535,18 +458,18 @@ void ShmemPe::iput(RankId dst, SymAddr dest, std::span<const std::byte> data,
       nelems > 0) {
     throw std::out_of_range("ShmemPe::iput: source too small");
   }
-  if (nelems == 0) return;  // validated no-op: nothing issued, nothing pinned
   for (std::uint32_t k = 0; k < nelems; ++k) {
-    put_nbi(dst,
+    rma_nbi("iput", dst,
             dest + static_cast<std::uint64_t>(k) * dst_stride * elem,
-            data.subspan(static_cast<std::size_t>(k) * src_stride * elem,
-                         elem));
+            fabric::RmaRequest::write(data.subspan(
+                static_cast<std::size_t>(k) * src_stride * elem, elem)));
   }
 }
 
 sim::Task<> ShmemPe::iget(RankId dst, std::span<std::byte> dest, SymAddr src,
                           std::uint32_t dst_stride, std::uint32_t src_stride,
                           std::uint32_t elem, std::uint32_t nelems) {
+  check_access("iget", src, 0);
   if (dst_stride == 0 || src_stride == 0 || elem == 0) {
     throw std::invalid_argument("ShmemPe::iget: zero stride or element");
   }
@@ -555,13 +478,17 @@ sim::Task<> ShmemPe::iget(RankId dst, std::span<std::byte> dest, SymAddr src,
       nelems > 0) {
     throw std::out_of_range("ShmemPe::iget: destination too small");
   }
-  if (nelems == 0) co_return;  // validated no-op
-  for (std::uint32_t k = 0; k < nelems; ++k) {
-    co_await get(dst,
-                 src + static_cast<std::uint64_t>(k) * src_stride * elem,
-                 dest.subspan(static_cast<std::size_t>(k) * dst_stride * elem,
-                              elem));
-  }
+  // Element gets run one after another, each through the put/get router.
+  return [](ShmemPe& pe, RankId dst, std::span<std::byte> dest, SymAddr src,
+            std::uint64_t src_step, std::uint64_t dst_step,
+            std::uint32_t elem, std::uint32_t nelems) -> sim::Task<> {
+    for (std::uint32_t k = 0; k < nelems; ++k) {
+      co_await pe.rma("iget", dst, src + k * src_step,
+                      fabric::RmaRequest::read(dest.subspan(
+                          static_cast<std::size_t>(k * dst_step), elem)));
+    }
+  }(*this, dst, dest, src, std::uint64_t{src_stride} * elem,
+    std::uint64_t{dst_stride} * elem, elem, nelems);
 }
 
 std::optional<std::span<std::byte>> ShmemPe::local_ptr(RankId peer,

@@ -117,6 +117,11 @@ class ShmemPe {
   }
 
   // ---- remote memory access ----
+  //
+  // Every data op below (atomics and strided ops included) throws at the
+  // call, before anything is issued: std::logic_error outside
+  // start_pes()..finalize(), std::out_of_range when the addressed range
+  // leaves the symmetric heap.
 
   /// shmem_putmem: blocking put of `data` to `dest` on PE `dst`.
   [[nodiscard]] sim::Task<> put(RankId dst, SymAddr dest,
@@ -145,7 +150,8 @@ class ShmemPe {
     co_return value;
   }
 
-  // ---- atomics (64-bit) ----
+  // ---- atomics (64-bit; `addr` must be 8-byte aligned, else
+  // std::invalid_argument) ----
 
   [[nodiscard]] sim::Task<std::uint64_t> atomic_fetch_add(RankId dst,
                                                           SymAddr addr,
@@ -272,14 +278,35 @@ class ShmemPe {
   friend class ShmemJob;
 
   [[nodiscard]] const SegmentInfo& peer_segment(RankId dst);
-  /// Resolve a peer symmetric address to (VA, rkey); validates bounds.
+  /// Resolve a peer symmetric address to (VA, rkey) from its segment info.
   std::pair<fabric::VirtAddr, fabric::RKey> remote_addr(RankId dst,
-                                                        SymAddr addr,
-                                                        std::size_t len);
-  sim::Task<> local_copy_in(SymAddr dest, std::span<const std::byte> data);
-  sim::Task<> local_copy_out(SymAddr src, std::span<std::byte> dest);
-  sim::Task<std::uint64_t> local_atomic(SymAddr addr, std::uint64_t operand,
-                                        std::uint64_t expect, int kind);
+                                                        SymAddr addr);
+
+  // The RMA routers (DESIGN.md §5.20). Each entry checks synchronously,
+  // before any suspension or spawn, that the PE is between start_pes and
+  // finalize (std::logic_error) and that `[addr, addr + len)` lies in the
+  // heap (std::out_of_range); `op` names the public call in the message.
+  void check_access(const char* op, SymAddr addr, std::size_t len) const;
+  /// The put/get router: zero-length, self, shm, tier count, rendezvous,
+  /// on-demand registration, pipelined and eager RC.
+  sim::Task<> rma(const char* op, RankId dst, SymAddr addr,
+                  fabric::RmaRequest wr);
+  sim::Task<> route_rma(const char* op, RankId dst, SymAddr addr,
+                        fabric::RmaRequest wr);
+  /// Non-blocking `rma`, completed by quiet(). A write's source is copied
+  /// at the call; a read's sink must stay alive until quiet() returns.
+  void rma_nbi(const char* op, RankId dst, SymAddr addr,
+               fabric::RmaRequest wr);
+  /// The atomic router; additionally rejects a misaligned `addr`
+  /// (std::invalid_argument).
+  sim::Task<std::uint64_t> atomic(const char* op, RankId dst, SymAddr addr,
+                                  fabric::WcOpcode opcode,
+                                  std::uint64_t operand,
+                                  std::uint64_t compare);
+  sim::Task<std::uint64_t> route_atomic(const char* op, RankId dst,
+                                        SymAddr addr, fabric::RmaRequest wr);
+  /// Self-targeted `wr`: a local copy or read-modify-write.
+  sim::Task<std::uint64_t> local_rma(SymAddr addr, fabric::RmaRequest wr);
   sim::Task<> broadcast_am_segments();
 
   // On-demand registration plumbing (implemented in pe_registration.cpp).
@@ -296,20 +323,15 @@ class ShmemPe {
   /// Resolve the rkey of `dst`'s chunk, faulting it in if cold. Coalesces
   /// concurrent faults on the same chunk.
   sim::Task<fabric::RKey> reg_rkey(RankId dst, std::uint32_t chunk);
-  /// Remote VA of a symmetric address, computed from the rank-deterministic
-  /// heap base (no segment-info exchange needed on this path).
-  fabric::VirtAddr reg_remote_va(RankId dst, SymAddr addr,
-                                 std::size_t len) const;
-  // Chunk-splitting RC data paths used when registration == kOnDemand.
-  // `fragmented` streams each chunk's bytes through the conduit's pipelined
-  // window instead of one large RDMA (DESIGN.md §5.17).
-  sim::Task<> reg_put(RankId dst, SymAddr dest, std::vector<std::byte> data,
-                      bool fragmented = false);
-  sim::Task<> reg_get(RankId dst, SymAddr src, std::span<std::byte> dest,
-                      bool fragmented = false);
-  /// kind: 0 = fetch-add(a), 1 = swap(a), 2 = compare-swap(expect=a, b).
-  sim::Task<fabric::Completion> reg_atomic(RankId dst, SymAddr addr, int kind,
-                                           std::uint64_t a, std::uint64_t b);
+  /// The registration loop of every RC op under on-demand registration:
+  /// split `wr` at chunk boundaries and, per chunk, resolve the rkey
+  /// (faulting it in), lease it, connect, and re-resolve if an
+  /// invalidation raced the connection. `fragmented` streams each chunk
+  /// through the conduit's pipelined window instead of one verb (DESIGN.md
+  /// §5.17). Returns the first failed completion, else the last one.
+  sim::Task<fabric::Completion> reg_rma(RankId dst, SymAddr addr,
+                                        fabric::RmaRequest wr,
+                                        bool fragmented);
   void reg_report(core::ProtocolEvent::Kind kind, RankId peer,
                   std::uint32_t chunk, std::uint64_t rkey);
   /// Wait for in-flight chunk registrations / eviction drains to settle.
@@ -320,12 +342,10 @@ class ShmemPe {
   /// an RTS (VA, len) to postable ranges — whole-heap rkey under eager
   /// registration, per-chunk pin faults under on-demand registration.
   void bulk_init();
-  /// RTS/CTS rendezvous transfers; retry internally when a granted rkey
-  /// dies to a racing invalidation before the transfer starts.
-  sim::Task<> bulk_rendezvous_put(RankId dst, SymAddr dest,
-                                  std::span<const std::byte> data);
-  sim::Task<> bulk_rendezvous_get(RankId dst, SymAddr src,
-                                  std::span<std::byte> dest);
+  /// RTS/CTS rendezvous transfer of a write or read; retries internally
+  /// when a granted rkey dies to a racing invalidation before the transfer
+  /// starts.
+  sim::Task<> bulk_rendezvous(RankId dst, SymAddr addr, fabric::RmaRequest wr);
   /// Target half: map [raddr, raddr+len) to sink ranges, pinning chunks
   /// on demand (a rendezvous RTS can trigger registration faults).
   sim::Task<std::vector<core::RdvRange>> bulk_sink(RankId src, core::RdvOp op,

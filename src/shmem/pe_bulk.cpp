@@ -55,7 +55,8 @@ sim::Task<std::vector<RdvRange>> ShmemPe::bulk_sink(RankId src, RdvOp op,
                                                     std::uint64_t len) {
   (void)op;  // puts and gets post identical sinks; only direction differs
   const fabric::VirtAddr base = heap_space_.base();
-  if (raddr < base || raddr - base + len > config().heap_bytes) {
+  const std::uint64_t size = config().heap_bytes;
+  if (raddr < base || len > size || raddr - base > size - len) {
     throw std::out_of_range("ShmemPe: rendezvous RTS outside symmetric heap");
   }
   std::vector<RdvRange> ranges;
@@ -102,19 +103,19 @@ bool ShmemPe::bulk_accept_ranges(RankId dst,
   return true;
 }
 
-sim::Task<> ShmemPe::bulk_rendezvous_put(RankId dst, SymAddr dest,
-                                         std::span<const std::byte> data) {
-  fabric::VirtAddr va = reg_remote_va(dst, dest, data.size());
+sim::Task<> ShmemPe::bulk_rendezvous(RankId dst, SymAddr addr,
+                                     fabric::RmaRequest wr) {
+  const fabric::VirtAddr va = fabric::make_va_base(dst) + addr;
   if (!reg_on_demand()) {
-    if (!co_await conduit_.rendezvous_put(dst, va, data)) {
-      throw std::runtime_error("ShmemPe::put: rendezvous aborted");
+    if (!co_await conduit_.rendezvous(dst, va, wr)) {
+      throw std::runtime_error("ShmemPe: rendezvous aborted");
     }
     co_return;
   }
   for (int attempt = 0; attempt < kRdvMaxRetries; ++attempt) {
     std::vector<RkeyLease> leases;
-    bool ok = co_await conduit_.rendezvous_put(
-        dst, va, data,
+    bool ok = co_await conduit_.rendezvous(
+        dst, va, wr,
         [this, dst, &leases](const std::vector<RdvRange>& ranges) {
           return bulk_accept_ranges(dst, ranges, leases);
         });
@@ -123,32 +124,8 @@ sim::Task<> ShmemPe::bulk_rendezvous_put(RankId dst, SymAddr dest,
     stats().add("rendezvous_retries");
   }
   stats().add("rendezvous_fallbacks");
-  co_await reg_put(dst, dest, std::vector<std::byte>(data.begin(), data.end()),
-                   /*fragmented=*/true);
-}
-
-sim::Task<> ShmemPe::bulk_rendezvous_get(RankId dst, SymAddr src,
-                                         std::span<std::byte> dest) {
-  fabric::VirtAddr va = reg_remote_va(dst, src, dest.size());
-  if (!reg_on_demand()) {
-    if (!co_await conduit_.rendezvous_get(dst, va, dest)) {
-      throw std::runtime_error("ShmemPe::get: rendezvous aborted");
-    }
-    co_return;
-  }
-  for (int attempt = 0; attempt < kRdvMaxRetries; ++attempt) {
-    std::vector<RkeyLease> leases;
-    bool ok = co_await conduit_.rendezvous_get(
-        dst, va, dest,
-        [this, dst, &leases](const std::vector<RdvRange>& ranges) {
-          return bulk_accept_ranges(dst, ranges, leases);
-        });
-    leases.clear();
-    if (ok) co_return;
-    stats().add("rendezvous_retries");
-  }
-  stats().add("rendezvous_fallbacks");
-  co_await reg_get(dst, src, dest, /*fragmented=*/true);
+  // Fragments that fail throw, so the per-chunk path completes or throws.
+  (void)co_await reg_rma(dst, addr, wr, /*fragmented=*/true);
 }
 
 }  // namespace odcm::shmem

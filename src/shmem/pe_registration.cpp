@@ -213,28 +213,23 @@ sim::Task<fabric::RKey> ShmemPe::reg_rkey(RankId dst, std::uint32_t chunk) {
   }
 }
 
-fabric::VirtAddr ShmemPe::reg_remote_va(RankId dst, SymAddr addr,
-                                        std::size_t len) const {
-  // The symmetric heap lives at a rank-deterministic base on every PE, so
-  // the initiator can name remote chunks before any segment-info exchange
-  // — the whole point of faulting rkeys in lazily.
-  if (addr + len > config().heap_bytes) {
-    throw std::out_of_range("ShmemPe: symmetric address out of heap");
-  }
-  return fabric::make_va_base(dst) + addr;
-}
-
-sim::Task<> ShmemPe::reg_put(RankId dst, SymAddr dest,
-                             std::vector<std::byte> data, bool fragmented) {
+sim::Task<fabric::Completion> ShmemPe::reg_rma(RankId dst, SymAddr addr,
+                                               fabric::RmaRequest wr,
+                                               bool fragmented) {
   const std::uint64_t chunk_bytes = config().reg_chunk_bytes;
+  const std::size_t len = wr.length();
+  fabric::Completion wc;
   std::size_t offset = 0;
-  while (offset < data.size()) {
-    SymAddr at = dest + offset;
+  while (offset < len) {
+    SymAddr at = addr + offset;
     auto chunk = static_cast<std::uint32_t>(at / chunk_bytes);
     std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(data.size() - offset,
-                                (chunk + 1) * chunk_bytes - at));
-    fabric::VirtAddr va = reg_remote_va(dst, at, take);
+        std::min<std::uint64_t>(len - offset, (chunk + 1) * chunk_bytes - at));
+    // The symmetric heap lives at a rank-deterministic base on every PE, so
+    // the initiator can name remote chunks before any segment-info exchange
+    // — the whole point of faulting rkeys in lazily.
+    const fabric::VirtAddr va = fabric::make_va_base(dst) + at;
+    const fabric::RmaRequest part = wr.slice(offset, take);
     for (;;) {
       fabric::RKey rkey = co_await reg_rkey(dst, chunk);
       RkeyLease lease(*rkey_table_, dst, chunk);
@@ -251,95 +246,17 @@ sim::Task<> ShmemPe::reg_put(RankId dst, SymAddr dest,
         // bounded-window fragmenter. The lease is held across the whole
         // stream, so a racing invalidation defers its ack (and the
         // target's deregistration) until every fragment completed.
-        co_await conduit_.put_fragmented(
-            dst, va, rkey,
-            std::span<const std::byte>(data).subspan(offset, take));
-        lease.release();
-        break;
+        co_await conduit_.fragmented(dst, va, rkey, part);
+      } else {
+        wc = co_await qp->post(va, rkey, part);
       }
-      fabric::Completion wc = co_await qp->rdma_write(
-          va, rkey,
-          std::vector<std::byte>(
-              data.begin() + static_cast<std::ptrdiff_t>(offset),
-              data.begin() + static_cast<std::ptrdiff_t>(offset + take)));
       lease.release();
-      if (!wc.ok()) {
-        throw std::runtime_error("ShmemPe::put: RDMA write failed");
-      }
       break;
     }
+    if (!wc.ok()) co_return wc;
     offset += take;
   }
-}
-
-sim::Task<> ShmemPe::reg_get(RankId dst, SymAddr src,
-                             std::span<std::byte> dest, bool fragmented) {
-  const std::uint64_t chunk_bytes = config().reg_chunk_bytes;
-  std::size_t offset = 0;
-  while (offset < dest.size()) {
-    SymAddr at = src + offset;
-    auto chunk = static_cast<std::uint32_t>(at / chunk_bytes);
-    std::size_t take = static_cast<std::size_t>(
-        std::min<std::uint64_t>(dest.size() - offset,
-                                (chunk + 1) * chunk_bytes - at));
-    fabric::VirtAddr va = reg_remote_va(dst, at, take);
-    for (;;) {
-      fabric::RKey rkey = co_await reg_rkey(dst, chunk);
-      RkeyLease lease(*rkey_table_, dst, chunk);
-      fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-      if (rkey_table_->rkey(dst, chunk) != rkey) {
-        stats().add("reg_rkey_races");
-        continue;
-      }
-      reg_report(ProtocolEvent::Kind::kRegRkeyUsed, dst, chunk, rkey);
-      if (fragmented) {
-        co_await conduit_.get_fragmented(dst, va, rkey,
-                                         dest.subspan(offset, take));
-        lease.release();
-        break;
-      }
-      fabric::Completion wc =
-          co_await qp->rdma_read(va, rkey, dest.subspan(offset, take));
-      lease.release();
-      if (!wc.ok()) {
-        throw std::runtime_error("ShmemPe::get: RDMA read failed");
-      }
-      break;
-    }
-    offset += take;
-  }
-}
-
-sim::Task<fabric::Completion> ShmemPe::reg_atomic(RankId dst, SymAddr addr,
-                                                  int kind, std::uint64_t a,
-                                                  std::uint64_t b) {
-  const std::uint64_t chunk_bytes = config().reg_chunk_bytes;
-  auto chunk = static_cast<std::uint32_t>(addr / chunk_bytes);
-  // chunk_bytes is a multiple of 8 and atomics are naturally aligned, so
-  // an 8-byte operand cannot straddle a chunk boundary.
-  if ((chunk + 1) * chunk_bytes - addr < sizeof(std::uint64_t)) {
-    throw std::invalid_argument("ShmemPe: atomic straddles a chunk boundary");
-  }
-  fabric::VirtAddr va = reg_remote_va(dst, addr, sizeof(std::uint64_t));
-  for (;;) {
-    fabric::RKey rkey = co_await reg_rkey(dst, chunk);
-    RkeyLease lease(*rkey_table_, dst, chunk);
-    fabric::QueuePair* qp = co_await conduit_.connected_qp(dst);
-    if (rkey_table_->rkey(dst, chunk) != rkey) {
-      stats().add("reg_rkey_races");
-      continue;
-    }
-    reg_report(ProtocolEvent::Kind::kRegRkeyUsed, dst, chunk, rkey);
-    fabric::Completion wc;
-    switch (kind) {
-      case 0: wc = co_await qp->fetch_add(va, rkey, a); break;
-      case 1: wc = co_await qp->swap(va, rkey, a); break;
-      case 2: wc = co_await qp->compare_swap(va, rkey, a, b); break;
-      default: throw std::logic_error("ShmemPe::reg_atomic: bad kind");
-    }
-    lease.release();
-    co_return wc;
-  }
+  co_return wc;
 }
 
 }  // namespace odcm::shmem

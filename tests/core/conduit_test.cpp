@@ -239,21 +239,25 @@ TEST(Conduit, RmaThroughConduit) {
       std::vector<std::byte> data(8);
       std::uint64_t value = 7;
       std::memcpy(data.data(), &value, 8);
-      fabric::Completion put_wc = co_await c.put(1, mr.addr, mr.rkey, data);
+      fabric::Completion put_wc = co_await c.rma(
+          1, mr.addr, mr.rkey, fabric::RmaRequest::write(data));
       EXPECT_TRUE(put_wc.ok());
       // get
       std::vector<std::byte> back(8);
-      fabric::Completion get_wc = co_await c.get(1, mr.addr, mr.rkey, back);
+      fabric::Completion get_wc = co_await c.rma(
+          1, mr.addr, mr.rkey, fabric::RmaRequest::read(back));
       EXPECT_TRUE(get_wc.ok());
       std::uint64_t got = 0;
       std::memcpy(&got, back.data(), 8);
       EXPECT_EQ(got, 7u);
       // atomics
       fabric::Completion fa =
-          co_await c.atomic_fetch_add(1, mr.addr + 8, mr.rkey, 1);
+          co_await c.atomic(1, mr.addr + 8, mr.rkey,
+                            fabric::WcOpcode::kFetchAdd, 1);
       EXPECT_EQ(fa.atomic_old, 99u);
-      fabric::Completion cs = co_await c.atomic_compare_swap(
-          1, mr.addr + 8, mr.rkey, 100, 200);
+      fabric::Completion cs =
+          co_await c.atomic(1, mr.addr + 8, mr.rkey,
+                            fabric::WcOpcode::kCompareSwap, 200, 100);
       EXPECT_EQ(cs.atomic_old, 100u);
     }
     co_await c.barrier_global();

@@ -117,7 +117,8 @@ TEST_P(RandomOpFuzz, MatchesShadowBuffer) {
         std::memcpy(&old_model, model.data() + slot, 8);
         std::uint64_t new_model = old_model + add;
         std::memcpy(model.data() + slot, &new_model, 8);
-        Completion wc = co_await a->fetch_add(mr.addr + slot, mr.rkey, add);
+        Completion wc = co_await a->atomic(WcOpcode::kFetchAdd, mr.addr + slot,
+                                           mr.rkey, add);
         EXPECT_TRUE(wc.ok());
         EXPECT_EQ(wc.atomic_old, old_model);
       } else {  // compare-swap
@@ -129,8 +130,8 @@ TEST_P(RandomOpFuzz, MatchesShadowBuffer) {
         if (old_model == expect) {
           std::memcpy(model.data() + slot, &desired, 8);
         }
-        Completion wc =
-            co_await a->compare_swap(mr.addr + slot, mr.rkey, expect, desired);
+        Completion wc = co_await a->atomic(
+            WcOpcode::kCompareSwap, mr.addr + slot, mr.rkey, desired, expect);
         EXPECT_TRUE(wc.ok());
         EXPECT_EQ(wc.atomic_old, old_model);
       }

@@ -137,7 +137,8 @@ TEST(Atomics, FetchAddReturnsOldAndAdds) {
   env.engine.spawn([](RdmaEnv& e) -> sim::Task<> {
     std::uint64_t init = 40;
     std::memcpy(e.space.window(e.space.base(), 8).data(), &init, 8);
-    Completion wc = co_await e.qp_a->fetch_add(e.mr.addr, e.mr.rkey, 2);
+    Completion wc = co_await e.qp_a->atomic(WcOpcode::kFetchAdd,
+                                           e.mr.addr, e.mr.rkey, 2);
     EXPECT_TRUE(wc.ok());
     EXPECT_EQ(wc.atomic_old, 40u);
     std::uint64_t now = 0;
@@ -155,7 +156,8 @@ TEST(Atomics, ConcurrentFetchAddsAreSerialized) {
     std::vector<sim::Task<Completion>> ops;
     ops.reserve(16);
     for (int i = 0; i < 16; ++i) {
-      ops.push_back(e.qp_a->fetch_add(e.mr.addr, e.mr.rkey, 1));
+      ops.push_back(
+          e.qp_a->atomic(WcOpcode::kFetchAdd, e.mr.addr, e.mr.rkey, 1));
     }
     std::vector<std::uint64_t> olds;
     for (auto& op : ops) {
@@ -178,17 +180,19 @@ TEST(Atomics, CompareSwapOnlySwapsOnMatch) {
     std::uint64_t init = 7;
     std::memcpy(e.space.window(e.space.base(), 8).data(), &init, 8);
     // Mismatch: no swap.
-    Completion miss = co_await e.qp_a->compare_swap(e.mr.addr, e.mr.rkey,
-                                                    /*expect=*/1,
-                                                    /*desired=*/100);
+    Completion miss = co_await e.qp_a->atomic(WcOpcode::kCompareSwap,
+                                              e.mr.addr, e.mr.rkey,
+                                              /*operand=*/100,
+                                              /*compare=*/1);
     EXPECT_EQ(miss.atomic_old, 7u);
     std::uint64_t value = 0;
     std::memcpy(&value, e.space.window(e.space.base(), 8).data(), 8);
     EXPECT_EQ(value, 7u);
     // Match: swap.
-    Completion hit = co_await e.qp_a->compare_swap(e.mr.addr, e.mr.rkey,
-                                                   /*expect=*/7,
-                                                   /*desired=*/100);
+    Completion hit = co_await e.qp_a->atomic(WcOpcode::kCompareSwap,
+                                             e.mr.addr, e.mr.rkey,
+                                             /*operand=*/100,
+                                             /*compare=*/7);
     EXPECT_EQ(hit.atomic_old, 7u);
     std::memcpy(&value, e.space.window(e.space.base(), 8).data(), 8);
     EXPECT_EQ(value, 100u);
@@ -199,8 +203,32 @@ TEST(Atomics, CompareSwapOnlySwapsOnMatch) {
 TEST(Atomics, BadKeyYieldsError) {
   RdmaEnv env;
   env.engine.spawn([](RdmaEnv& e) -> sim::Task<> {
-    Completion wc = co_await e.qp_a->fetch_add(e.mr.addr, 12345, 1);
+    Completion wc = co_await e.qp_a->atomic(WcOpcode::kFetchAdd,
+                                           e.mr.addr, 12345, 1);
     EXPECT_EQ(wc.status, WcStatus::kRemoteAccessError);
+  }(env));
+  env.engine.run();
+}
+
+TEST(Atomics, SwapAndNonAtomicOpcodes) {
+  RdmaEnv env;
+  env.engine.spawn([](RdmaEnv& e) -> sim::Task<> {
+    std::uint64_t init = 3;
+    std::memcpy(e.space.window(e.space.base(), 8).data(), &init, 8);
+    Completion wc =
+        co_await e.qp_a->atomic(WcOpcode::kSwap, e.mr.addr, e.mr.rkey, 9);
+    EXPECT_EQ(wc.opcode, WcOpcode::kSwap);
+    EXPECT_EQ(wc.atomic_old, 3u);
+    // Write, read and send are not atomics: rejected before anything posts.
+    for (WcOpcode op :
+         {WcOpcode::kRdmaWrite, WcOpcode::kRdmaRead, WcOpcode::kSend}) {
+      EXPECT_THROW((void)e.qp_a->atomic(op, e.mr.addr, e.mr.rkey, 1),
+                   std::logic_error);
+    }
+    EXPECT_EQ(e.qp_a->outstanding(), 0u);
+    std::uint64_t value = 0;
+    std::memcpy(&value, e.space.window(e.space.base(), 8).data(), 8);
+    EXPECT_EQ(value, 9u);
   }(env));
   env.engine.run();
 }
