@@ -22,6 +22,24 @@ cmake --build "${prefix}" -j "${jobs}"
 # so running a label again in the same build repeats the same result.
 ctest --test-dir "${prefix}" --output-on-failure -j "${jobs}"
 
+echo "==> test label guard"
+# A suite registered with several labels must carry every one of them, or
+# a label-filtered run (ctest -L) silently undercounts. Probe one
+# multi-label suite per label: shmem_rma_paths_test under its third label,
+# shmem_lock_test (Lock.*) under its second.
+labelled="$(ctest --test-dir "${prefix}" -N -L bulkproto)"
+if ! grep -q 'RmaPaths\.GoldenEventStreamsAcrossTheModeMatrix$' \
+    <<< "${labelled}"; then
+  echo "label guard: ctest -L bulkproto misses" \
+    "RmaPaths.GoldenEventStreamsAcrossTheModeMatrix" >&2
+  exit 1
+fi
+labelled="$(ctest --test-dir "${prefix}" -N -L schedule)"
+if ! grep -q ': Lock\.' <<< "${labelled}"; then
+  echo "label guard: ctest -L schedule misses the shmem_lock_test cases" >&2
+  exit 1
+fi
+
 echo "==> torture sweep"
 "${prefix}/bench/check_sweep" --seeds 50 \
   --json "${prefix}/bench-artifacts/CHECK_sweep.json"

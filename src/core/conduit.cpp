@@ -7,12 +7,15 @@
 
 namespace odcm::core {
 
-namespace {
-constexpr const char* kUdKeyPrefix = "odcm-ud:";
+std::string ud_endpoint_key(RankId rank) {
+  return "odcm-ud:" + std::to_string(rank);
 }
 
 Conduit::Conduit(ConduitJob& job, RankId rank)
-    : job_(job), rank_(rank), node_(job.node_of(rank)) {}
+    : job_(job),
+      rank_(rank),
+      node_(job.node_of(rank)),
+      ud_learned_(job.ranks()) {}
 
 Conduit::~Conduit() = default;
 
@@ -44,6 +47,7 @@ sim::Task<> Conduit::init() {
       sim::PhaseTimer timer(engine(), stats_, "connection_setup");
       ud_qp_ = co_await hca().create_qp(fabric::QpType::kUd, rank_);
       co_await ud_qp_->to_rts();
+      job_.ud_directory_[rank_] = ud_qp_->addr();
       stats_.add("qp_created_ud");
     }
     listeners_done_->add();
@@ -98,14 +102,14 @@ sim::Task<> Conduit::finalize() {
   // (credits_granted == credits_returned) could not close. Epochs are
   // bumped so any straggler release takes the stale-epoch path.
   if (config().qp_credits != 0) {
-    for_each_peer([this](RankId, Peer& p) {
-      if (p.phase == Peer::Phase::kConnected) {
-        stats_.add("credits_returned", p.credit_pool);
-        p.credit_pool = 0;
-        ++p.credit_epoch;
-        if (p.credit_free) p.credit_free->notify_all();
+    for (Peer* p : peers_by_rank()) {
+      if (p->phase == Peer::Phase::kConnected) {
+        stats_.add("credits_returned", p->credit_pool);
+        p->credit_pool = 0;
+        ++p->credit_epoch;
+        if (p->credit_free) p->credit_free->notify_all();
       }
-    });
+    }
   }
 
   const fabric::FabricConfig& fcfg = job_.fabric().config();
@@ -120,13 +124,11 @@ sim::Task<> Conduit::finalize() {
         (bulk_endpoints_ - materialized) * fcfg.qp_destroy_cost);
     co_await engine().delay(done - engine().now());
   }
-  for (RankId rank = 0; rank < peer_slot_.size(); ++rank) {
-    if (peer_slot_[rank] == kNoPeerSlot) continue;
-    Peer& peer = peer_slots_[peer_slot_[rank]];
-    if (peer.qp != nullptr) {
-      co_await hca().destroy_qp(peer.qp->qpn());
-      peer.qp = nullptr;
-      notify({.kind = ProtocolEvent::Kind::kQpUnbound, .peer = rank});
+  for (Peer* peer : peers_by_rank()) {
+    if (peer->qp != nullptr) {
+      co_await hca().destroy_qp(peer->qp->qpn());
+      peer->qp = nullptr;
+      notify({.kind = ProtocolEvent::Kind::kQpUnbound, .peer = peer->rank});
     }
   }
   for (fabric::QueuePair* qp : retired_qps_) {
@@ -297,10 +299,13 @@ fabric::ShmDomain& Conduit::shm_domain() {
 
 void Conduit::mark_shm_peer(RankId dst) {
   if (shm_peers_.empty()) {
-    shm_peers_.assign(size(), false);
+    shm_peers_.assign(job_.ranks_on_node(node_), false);
   }
-  if (!shm_peers_[dst]) {
-    shm_peers_[dst] = true;
+  // `dst` is on this node (shm_routes), so its offset from the node's
+  // first rank indexes the local bits.
+  const std::size_t local = dst - node_ * job_.config().ranks_per_node;
+  if (!shm_peers_[local]) {
+    shm_peers_[local] = true;
     ++shm_peer_count_;
   }
 }
@@ -450,17 +455,14 @@ sim::Task<fabric::Completion> Conduit::rc_rma(RankId dst,
 sim::Task<> Conduit::publish_ud_endpoint() {
   std::string value = encode_endpoint(ud_qp_->addr());
   if (config().pmi_mode == PmiMode::kBlocking) {
-    co_await pmi().put(kUdKeyPrefix + std::to_string(rank_),
-                       std::move(value));
+    co_await pmi().put(ud_endpoint_key(rank_), std::move(value));
     co_await pmi().fence();
   } else if (config().pmi_mode == PmiMode::kRing) {
     // PMIX_Ring bootstrap: constant-cost out-of-band exchange of the ring
     // neighbors' endpoints, then the full table travels over InfiniBand.
     auto [left, right] = co_await pmi().ring(std::move(value));
-    ud_table_.assign(size(), std::nullopt);
-    ud_table_[rank_] = ud_qp_->addr();
-    ud_table_[(rank_ + size() - 1) % size()] = decode_endpoint(left);
-    ud_table_[(rank_ + 1) % size()] = decode_endpoint(right);
+    learn_ud((rank_ + size() - 1) % size(), decode_endpoint(left));
+    learn_ud((rank_ + 1) % size(), decode_endpoint(right));
     ud_table_gate_ = std::make_unique<sim::Gate>(engine());
     ring_entries_ = std::make_unique<sim::Mailbox<RingEntry>>(engine());
     engine().spawn(ring_distribute());
@@ -479,7 +481,7 @@ sim::Task<> Conduit::ring_distribute() {
     co_return;
   }
   RankId right = (rank_ + 1) % n;
-  RingEntry current{rank_, *ud_table_[rank_]};
+  RingEntry current{rank_, job_.ud_endpoint(rank_)};
   for (std::uint32_t step = 0; step + 1 < n; ++step) {
     std::vector<std::byte> payload;
     wire::put_int<std::uint32_t>(payload, current.rank);
@@ -487,25 +489,31 @@ sim::Task<> Conduit::ring_distribute() {
     wire::put_int<std::uint32_t>(payload, current.addr.qpn);
     co_await am_send(right, /*handler=*/4, std::move(payload));
     current = co_await ring_entries_->pop();
-    ud_table_[current.rank] = current.addr;
+    learn_ud(current.rank, current.addr);
   }
   stats_.add("ring_bootstrap_hops", n - 1);
   ud_table_gate_->open();
 }
 
-sim::Task<fabric::EndpointAddr> Conduit::resolve_ud(RankId dst) {
-  if (ud_table_.empty()) {
-    ud_table_.resize(size());
+void Conduit::learn_ud(RankId rank, fabric::EndpointAddr addr) {
+  if (addr != job_.ud_endpoint(rank)) {
+    throw std::logic_error("Conduit: the UD endpoint learned for rank " +
+                           std::to_string(rank) +
+                           " differs from the one it published");
   }
-  if (ud_table_[dst]) {
-    co_return *ud_table_[dst];
+  ud_learned_.insert(rank);
+}
+
+sim::Task<fabric::EndpointAddr> Conduit::resolve_ud(RankId dst) {
+  if (ud_learned_.contains(dst)) {
+    co_return job_.ud_endpoint(dst);
   }
   sim::PhaseTimer timer(engine(), stats_, "pmi_wait");
   if (config().pmi_mode == PmiMode::kRing) {
     // The ring dissemination fills the table in the background; wait for
     // completion (first-communication semantics, like PMIX_Wait).
     co_await ud_table_gate_->wait();
-    co_return *ud_table_[dst];
+    co_return job_.ud_endpoint(dst);
   }
   if (config().pmi_mode == PmiMode::kNonBlocking) {
     if (ud_resolving_) {
@@ -513,44 +521,52 @@ sim::Task<fabric::EndpointAddr> Conduit::resolve_ud(RankId dst) {
     } else {
       ud_resolving_ = true;
       ud_table_gate_ = std::make_unique<sim::Gate>(engine());
-      std::vector<std::string> values =
+      std::span<const std::string> values =
           co_await pmi().iallgather_wait(*ud_ticket_);
-      for (RankId r = 0; r < values.size(); ++r) {
-        ud_table_[r] = decode_endpoint(values[r]);
-      }
+      job_.verify_ud_round(ud_ticket_->round, values);
+      ud_learned_.insert_all();
       ud_table_gate_->open();
     }
-    co_return *ud_table_[dst];
+    co_return job_.ud_endpoint(dst);
   }
-  auto value = co_await pmi().get(kUdKeyPrefix + std::to_string(dst));
+  auto value = co_await pmi().get(ud_endpoint_key(dst));
   if (!value) {
     throw std::runtime_error("Conduit::resolve_ud: endpoint not published");
   }
-  ud_table_[dst] = decode_endpoint(*value);
-  co_return *ud_table_[dst];
+  learn_ud(dst, decode_endpoint(*value));
+  co_return job_.ud_endpoint(dst);
 }
 
 // ---- accounting ----
 
 Conduit::Peer& Conduit::peer(RankId rank) {
-  if (peer_slot_.empty()) {
-    peer_slot_.assign(size(), kNoPeerSlot);
+  const std::uint32_t slot = peer_index_.find(rank);
+  if (slot != RankIndex::kNone) {
+    return peer_slots_[slot];
   }
-  std::uint32_t& slot = peer_slot_[rank];
-  if (slot == kNoPeerSlot) {
-    slot = static_cast<std::uint32_t>(peer_slots_.size());
-    Peer& p = peer_slots_.emplace_back();
-    p.rank = rank;
-    return p;
-  }
-  return peer_slots_[slot];
+  peer_index_.insert(rank, static_cast<std::uint32_t>(peer_slots_.size()));
+  Peer& p = peer_slots_.emplace_back();
+  p.rank = rank;
+  return p;
 }
 
 const Conduit::Peer* Conduit::find_peer(RankId rank) const noexcept {
-  if (rank >= peer_slot_.size() || peer_slot_[rank] == kNoPeerSlot) {
-    return nullptr;
-  }
-  return &peer_slots_[peer_slot_[rank]];
+  const std::uint32_t slot = peer_index_.find(rank);
+  return slot == RankIndex::kNone ? nullptr : &peer_slots_[slot];
+}
+
+std::vector<Conduit::Peer*> Conduit::peers_by_rank() {
+  std::vector<Peer*> out;
+  out.reserve(peer_slots_.size());
+  for (Peer& p : peer_slots_) out.push_back(&p);
+  std::sort(out.begin(), out.end(),
+            [](const Peer* a, const Peer* b) { return a->rank < b->rank; });
+  return out;
+}
+
+std::size_t Conduit::memory_footprint() const noexcept {
+  return ud_learned_.memory_bytes() + peer_index_.memory_bytes() +
+         peer_slots_.size() * sizeof(Peer) + shm_peers_.capacity() / 8;
 }
 
 std::uint64_t Conduit::connected_peer_count() const {

@@ -39,6 +39,7 @@
 #include "core/config.hpp"
 #include "core/lru.hpp"
 #include "core/observer.hpp"
+#include "core/rank_index.hpp"
 #include "core/wire.hpp"
 #include "fabric/fabric.hpp"
 #include "pmi/pmi.hpp"
@@ -51,6 +52,9 @@ using fabric::NodeId;
 using fabric::RankId;
 
 class ConduitJob;
+
+/// PMI key under which `rank` publishes its UD endpoint (blocking PMI mode).
+[[nodiscard]] std::string ud_endpoint_key(RankId rank);
 
 /// Handler invoked for each received active message. Handlers may suspend;
 /// each invocation runs as its own task.
@@ -300,6 +304,17 @@ class Conduit {
   [[nodiscard]] std::size_t retired_qp_count() const noexcept {
     return retired_qps_.size();
   }
+  /// Whether this PE has learned `rank`'s UD endpoint (on-demand mode).
+  [[nodiscard]] bool knows_ud_endpoint(RankId rank) const noexcept {
+    return ud_learned_.contains(rank);
+  }
+  /// Number of peers this PE holds a connection slot for (any phase).
+  [[nodiscard]] std::size_t touched_peer_count() const noexcept {
+    return peer_slots_.size();
+  }
+  /// Heap bytes of this PE's per-peer state: the learned-endpoint set, the
+  /// peer index and slots, and the shm first-contact bits (DESIGN.md §5.21).
+  [[nodiscard]] std::size_t memory_footprint() const noexcept;
 
   /// Report an upper-layer protocol event (e.g. the shmem registration
   /// protocol's kReg* kinds) into the job-wide observer stream. `self` and
@@ -367,6 +382,10 @@ class Conduit {
   Peer& peer(RankId rank);
   /// The peer slot for `rank`, or nullptr if never touched (const paths).
   [[nodiscard]] const Peer* find_peer(RankId rank) const noexcept;
+  /// Every touched peer slot in ascending rank order (deterministic;
+  /// finalize tears connections down in rank order). O(k log k) in the
+  /// touched peers, never O(N).
+  [[nodiscard]] std::vector<Peer*> peers_by_rank();
 
   /// Report `event` (with `self` and `time` filled in) to the job's protocol
   /// observers.
@@ -397,6 +416,9 @@ class Conduit {
   // UD endpoint resolution through PMI.
   sim::Task<> publish_ud_endpoint();
   sim::Task<fabric::EndpointAddr> resolve_ud(RankId dst);
+  /// Learn `rank`'s endpoint as PMI (or the ring) delivered it: it must
+  /// equal the job directory's entry.
+  void learn_ud(RankId rank, fabric::EndpointAddr addr);
   /// Ring bootstrap: forward the UD endpoint table around the IB ring
   /// (N-1 hops over the RC connection to the right neighbor).
   sim::Task<> ring_distribute();
@@ -510,14 +532,11 @@ class Conduit {
   bool finalized_ = false;
 
   fabric::QueuePair* ud_qp_ = nullptr;
-  // Flat indexed peer storage: `peer_slot_` maps a dense RankId to an index
-  // into `peer_slots_` (a deque, so references stay stable across inserts —
-  // `Peer&` is held across co_await throughout the protocol code).
-  // Deterministic rank-order iteration goes through the index (see
-  // `for_each_peer`); the hot path is one vector load + one deque index
-  // instead of a std::map walk.
-  static constexpr std::uint32_t kNoPeerSlot = 0xffffffffu;
-  std::vector<std::uint32_t> peer_slot_{};
+  // Flat indexed peer storage: `peer_index_` maps a RankId to an index into
+  // `peer_slots_` (a deque, so references stay stable across inserts —
+  // `Peer&` is held across co_await throughout the protocol code). The
+  // index is sized by the peers this PE touched, not by the job.
+  RankIndex peer_index_{};
   std::deque<Peer> peer_slots_{};
   /// Exact count of kConnected peers, maintained by `set_phase`.
   std::uint64_t connected_count_ = 0;
@@ -525,28 +544,18 @@ class Conduit {
   LruList<Peer> lru_{};
   bool bulk_connected_ = false;  // static bulk model in effect
   std::uint64_t bulk_endpoints_ = 0;
-  /// Distinct peers reached over the shm transport (dense bitmap; sized
-  /// lazily on first shm op).
+  /// Same-node peers reached over the shm transport, one bit per local
+  /// rank (sized lazily on first shm op).
   std::vector<bool> shm_peers_{};
   std::uint64_t shm_peer_count_ = 0;
-
-  /// Visit every touched peer slot in ascending rank order (deterministic;
-  /// finalize tears connections down in rank order).
-  template <typename F>
-  void for_each_peer(F&& f) {
-    for (RankId r = 0; r < peer_slot_.size(); ++r) {
-      if (peer_slot_[r] != kNoPeerSlot) {
-        f(r, peer_slots_[peer_slot_[r]]);
-      }
-    }
-  }
 
   PayloadProvider payload_provider_{};
   PayloadConsumer payload_consumer_{};
   std::unique_ptr<sim::Gate> ready_gate_{};
 
-  // UD endpoint table (filled from PMI).
-  std::vector<std::optional<fabric::EndpointAddr>> ud_table_{};
+  // Peers whose UD endpoint this PE learned; the endpoints themselves live
+  // once per job (`ConduitJob::ud_endpoint`).
+  RankSet ud_learned_;
   std::optional<pmi::CollectiveTicket> ud_ticket_{};
   std::unique_ptr<sim::Gate> ud_table_gate_{};
   bool ud_resolving_ = false;
@@ -612,8 +621,21 @@ class ConduitJob {
   void add_observer(ProtocolObserver* observer);
   void remove_observer(ProtocolObserver* observer);
 
+  /// `rank`'s UD endpoint, written once when the rank creates its UD QP
+  /// (on-demand mode). Every PE reads this one copy; what it learned is
+  /// its own `RankSet`.
+  [[nodiscard]] const fabric::EndpointAddr& ud_endpoint(RankId rank) const {
+    return ud_directory_.at(rank);
+  }
+
  private:
   friend class Conduit;
+
+  /// Check that every value of iallgather round `round` decodes to the
+  /// directory entry of its rank; the first PE to finish the round pays
+  /// for it, the others find it done.
+  void verify_ud_round(std::uint32_t round,
+                       std::span<const std::string> values);
 
   struct NodeBarrier {
     explicit NodeBarrier(sim::Engine& engine) : trigger(engine) {}
@@ -629,6 +651,8 @@ class ConduitJob {
   std::vector<std::unique_ptr<Conduit>> conduits_{};
   std::vector<std::unique_ptr<NodeBarrier>> node_barriers_{};
   std::vector<ProtocolObserver*> observers_{};
+  std::vector<fabric::EndpointAddr> ud_directory_{};
+  std::optional<std::uint32_t> ud_verified_round_{};
 };
 
 }  // namespace odcm::core

@@ -416,14 +416,14 @@ Conduit::Peer* Conduit::debug_reference_victim(RankId just_connected) {
   // The historical full scan: rank-ascending, strictly-smaller last_used
   // wins — i.e. least last_used with ties broken toward the lowest rank.
   Peer* victim = nullptr;
-  for_each_peer([&](RankId rank, Peer& candidate) {
-    if (candidate.phase != Peer::Phase::kConnected) return;
-    if (candidate.role == Peer::Role::kStatic) return;
-    if (rank == just_connected) return;
-    if (victim == nullptr || candidate.last_used < victim->last_used) {
-      victim = &candidate;
+  for (Peer* candidate : peers_by_rank()) {
+    if (candidate->phase != Peer::Phase::kConnected) continue;
+    if (candidate->role == Peer::Role::kStatic) continue;
+    if (candidate->rank == just_connected) continue;
+    if (victim == nullptr || candidate->last_used < victim->last_used) {
+      victim = candidate;
     }
-  });
+  }
   return victim;
 }
 #endif
@@ -659,7 +659,8 @@ sim::Task<> Conduit::static_connect_all() {
     }
     if (config().pmi_mode == PmiMode::kNonBlocking) {
       pmi::CollectiveTicket ticket = pmi().iallgather_start(std::move(value));
-      std::vector<std::string> values = co_await pmi().iallgather_wait(ticket);
+      std::span<const std::string> values =
+          co_await pmi().iallgather_wait(ticket);
       for (RankId r = 0; r < n; ++r) {
         std::memcpy(&remote[r].lid, values[r].data(), 2);
         std::memcpy(&remote[r].qpn,

@@ -29,6 +29,14 @@ ConduitJob::ConduitJob(sim::Engine& engine, JobConfig config)
         "ConduitJob: conduit.max_active_connections is on-demand mode only "
         "and must be 0 in static mode");
   }
+  if (!on_demand && cc.pmi_mode == PmiMode::kRing) {
+    // The ring disseminates UD endpoints for on-demand handshakes; the
+    // static mesh exchanges its QP tables through put/fence/get or
+    // iallgather and has no ring path.
+    throw std::invalid_argument(
+        "ConduitJob: conduit.pmi_mode kRing is on-demand mode only; static "
+        "mode takes kBlocking or kNonBlocking");
+  }
   if (cc.eager_threshold != 0 && cc.rendezvous_threshold != 0 &&
       cc.rendezvous_threshold <= cc.eager_threshold) {
     // select_tier tests the rendezvous bound first, so the pipelined tier
@@ -56,6 +64,9 @@ ConduitJob::ConduitJob(sim::Engine& engine, JobConfig config)
     node_barriers_.push_back(std::make_unique<NodeBarrier>(engine_));
   }
 
+  if (on_demand) {
+    ud_directory_.resize(config_.ranks);
+  }
   conduits_.reserve(config_.ranks);
   for (RankId rank = 0; rank < config_.ranks; ++rank) {
     fabric_->hca(node_of(rank)).attach_pe(rank);
@@ -117,6 +128,19 @@ void ConduitJob::remove_observer(ProtocolObserver* observer) {
   observers_.erase(std::remove(observers_.begin(),
                                      observers_.end(), observer),
                          observers_.end());
+}
+
+void ConduitJob::verify_ud_round(std::uint32_t round,
+                                 std::span<const std::string> values) {
+  if (ud_verified_round_ == round) return;
+  for (RankId r = 0; r < values.size(); ++r) {
+    if (decode_endpoint(values[r]) != ud_endpoint(r)) {
+      throw std::logic_error("ConduitJob: the iallgather endpoint of rank " +
+                             std::to_string(r) +
+                             " differs from the one it published");
+    }
+  }
+  ud_verified_round_ = round;
 }
 
 sim::StatSet ConduitJob::aggregate_stats() const {

@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -114,6 +115,7 @@ class JobManager {
     std::uint32_t arrived = 0;
     bool completed = false;
     std::vector<std::string> values{};  // iallgather only, indexed by rank
+    std::uint64_t bytes = 0;            // total size of `values`
   };
 
   /// Depth of the k-ary daemon tree.
@@ -196,8 +198,10 @@ class PmiClient {
 
   /// PMIX_Wait for an iallgather: returns all ranks' values, indexed by
   /// rank. Delivery of the result buffer is charged against the node
-  /// daemon (bulk IPC), which is why it is far cheaper than N gets.
-  [[nodiscard]] sim::Task<std::vector<std::string>> iallgather_wait(
+  /// daemon (bulk IPC), which is why it is far cheaper than N gets. The
+  /// values are the round's one job-wide copy, valid as long as the
+  /// JobManager.
+  [[nodiscard]] sim::Task<std::span<const std::string>> iallgather_wait(
       CollectiveTicket ticket);
 
   /// PMIX_Ring (Chakraborty et al., EuroMPI'14 — the authors' prior

@@ -11,6 +11,7 @@ ShmemJob::ShmemJob(sim::Engine& engine, ShmemJobConfig config)
         "ShmemJob: shmem.collective_fanout must be >= 1");
   }
   conduit_job_ = std::make_unique<core::ConduitJob>(engine_, config_.job);
+  segment_directory_.resize(conduit_job_->ranks());
   pes_.reserve(conduit_job_->ranks());
   for (RankId rank = 0; rank < conduit_job_->ranks(); ++rank) {
     pes_.push_back(std::make_unique<ShmemPe>(*this, rank));

@@ -29,6 +29,13 @@ class ShmemJob {
   }
   [[nodiscard]] ShmemPe& pe(RankId rank);
 
+  /// `rank`'s symmetric-segment triplet, written once by that PE during
+  /// start_pes. Every PE reads this one copy; which peers a PE has
+  /// learned is its own `core::RankSet` (DESIGN.md §5.21).
+  [[nodiscard]] const SegmentInfo& segment(RankId rank) const {
+    return segment_directory_.at(rank);
+  }
+
   /// Spawn `program` on every PE; conduits finalize after all complete.
   /// The caller runs the engine.
   void spawn_all(std::function<sim::Task<>(ShmemPe&)> program);
@@ -37,10 +44,13 @@ class ShmemJob {
   sim::Time run(std::function<sim::Task<>(ShmemPe&)> program);
 
  private:
+  friend class ShmemPe;  // publishes its own directory entry
+
   sim::Engine& engine_;
   ShmemJobConfig config_;
   std::unique_ptr<core::ConduitJob> conduit_job_;
   std::vector<std::unique_ptr<ShmemPe>> pes_{};
+  std::vector<SegmentInfo> segment_directory_{};
 };
 
 }  // namespace odcm::shmem

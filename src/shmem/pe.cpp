@@ -19,7 +19,8 @@ ShmemPe::ShmemPe(ShmemJob& job, RankId rank)
       conduit_(job.conduit_job().conduit(rank)),
       heap_space_(rank, fabric::make_va_base(rank),
                   job.shmem_config().heap_bytes),
-      allocator_(job.shmem_config().heap_bytes) {}
+      allocator_(job.shmem_config().heap_bytes),
+      segments_(job.n_pes()) {}
 
 ShmemPe::~ShmemPe() = default;
 
@@ -44,7 +45,6 @@ sim::Task<> ShmemPe::start_pes() {
   const ShmemConfig& cfg = config();
   const sim::Time t0 = eng.now();
 
-  segments_.assign(n_pes(), std::nullopt);
   puts_drained_ = std::make_unique<sim::Trigger>(eng);
   conduit_.register_handler(
       kShmemCollDataHandler,
@@ -54,7 +54,7 @@ sim::Task<> ShmemPe::start_pes() {
   conduit_.register_handler(
       kShmemSegInfoHandler,
       [this](RankId src, std::vector<std::byte> payload) -> sim::Task<> {
-        segments_[src] = SegmentInfo::deserialize(payload);
+        learn_segment(src, payload);
         if (++segments_received_ == n_pes() - 1 && segments_gate_) {
           segments_gate_->open();
         }
@@ -81,15 +81,14 @@ sim::Task<> ShmemPe::start_pes() {
           cfg.heap_bytes);
       heap_region_ = co_await conduit_.hca().register_memory(
           heap_space_, heap_space_.base(), heap_space_.size(), modeled);
-      segments_[rank_] =
-          SegmentInfo{heap_region_.addr, heap_region_.size, heap_region_.rkey};
+      publish_segment(SegmentInfo{heap_region_.addr, heap_region_.size,
+                                  heap_region_.rkey});
     } else {
       // On-demand: nothing is pinned yet. Peers learn the heap geometry
       // (rkey 0 = "fault for it") and chunks register lazily on first
       // remote access (DESIGN.md §5.15).
       reg_init();
-      segments_[rank_] =
-          SegmentInfo{heap_space_.base(), heap_space_.size(), 0};
+      publish_segment(SegmentInfo{heap_space_.base(), heap_space_.size(), 0});
     }
   }
 
@@ -113,11 +112,9 @@ sim::Task<> ShmemPe::start_pes() {
           });
     } else {
       conduit_.set_payload_hooks(
-          [this](RankId) { return segments_[rank_]->serialize(); },
+          [this](RankId) { return job_.segment(rank_).serialize(); },
           [this](RankId peer, std::span<const std::byte> payload) {
-            if (!segments_[peer]) {
-              segments_[peer] = SegmentInfo::deserialize(payload);
-            }
+            learn_segment(peer, payload);
           });
     }
   }
@@ -130,7 +127,7 @@ sim::Task<> ShmemPe::start_pes() {
     // domain and pick up same-node peers' segment triplets through the
     // node-local exchange — no UD handshake, no piggybacked rkey involved
     // (DESIGN.md §5.14). The intra-node barrier guarantees every local
-    // peer has registered and exported before we read its triplet.
+    // peer has registered and exported before we learn its triplet.
     sim::PhaseTimer timer(eng, st, "shm_segment_exchange");
     co_await conduit_.shm_export(heap_space_, heap_space_.base(),
                                  heap_space_.size());
@@ -138,7 +135,7 @@ sim::Task<> ShmemPe::start_pes() {
     const core::ConduitJob& cj = job_.conduit_job();
     for (RankId r = 0; r < n_pes(); ++r) {
       if (r != rank_ && cj.node_of(r) == conduit_.node()) {
-        segments_[r] = *job_.pe(r).segments_[r];
+        segments_.insert(r);
       }
     }
   }
@@ -170,22 +167,20 @@ sim::Task<> ShmemPe::broadcast_am_segments() {
   const std::uint32_t n = n_pes();
   if (n == 1) co_return;
   if (n > conduit_.config().bulk_connect_threshold) {
-    // Bulk path: charge the per-PE cost of sending N-1 small AMs and fill
-    // the tables directly (every PE registered before the PMI fence inside
-    // conduit init, so the data is available).
+    // Bulk path: charge the per-PE cost of sending N-1 small AMs and learn
+    // every triplet at once (every PE registered before the PMI fence
+    // inside conduit init, so the directory is complete).
     const fabric::FabricConfig& fcfg = job_.conduit_job().fabric().config();
     co_await engine().delay(
         (n - 1) * (fcfg.hca_tx_overhead + fcfg.min_packet_gap));
-    for (RankId r = 0; r < n; ++r) {
-      segments_[r] = *job_.pe(r).segments_[r];
-    }
+    segments_.insert_all();
     co_return;
   }
   segments_gate_ = std::make_unique<sim::Gate>(engine());
   if (segments_received_ == n - 1) {
     segments_gate_->open();
   }
-  std::vector<std::byte> mine = segments_[rank_]->serialize();
+  std::vector<std::byte> mine = job_.segment(rank_).serialize();
   for (RankId r = 0; r < n; ++r) {
     if (r != rank_) {
       co_await conduit_.am_send(r, kShmemSegInfoHandler, mine);
@@ -218,11 +213,25 @@ std::span<std::byte> ShmemPe::local_window(SymAddr addr, std::size_t len) {
 }
 
 const SegmentInfo& ShmemPe::peer_segment(RankId dst) {
-  if (dst >= segments_.size() || !segments_[dst]) {
+  if (!segments_.contains(dst)) {
     throw std::logic_error("ShmemPe: no segment info for peer " +
                            std::to_string(dst));
   }
-  return *segments_[dst];
+  return job_.segment(dst);
+}
+
+void ShmemPe::publish_segment(SegmentInfo info) {
+  job_.segment_directory_[rank_] = info;
+  segments_.insert(rank_);
+}
+
+void ShmemPe::learn_segment(RankId peer, std::span<const std::byte> bytes) {
+  if (SegmentInfo::deserialize(bytes) != job_.segment(peer)) {
+    throw std::logic_error("ShmemPe: segment info received from peer " +
+                           std::to_string(peer) +
+                           " differs from the one it published");
+  }
+  segments_.insert(peer);
 }
 
 std::pair<fabric::VirtAddr, fabric::RKey> ShmemPe::remote_addr(

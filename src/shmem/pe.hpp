@@ -274,10 +274,25 @@ class ShmemPe {
     return reg_cache_.get();
   }
 
+  /// Whether this PE has learned `peer`'s segment triplet (and may address
+  /// its heap through `remote_addr`).
+  [[nodiscard]] bool knows_segment(RankId peer) const noexcept {
+    return segments_.contains(peer);
+  }
+  /// Heap bytes of this PE's per-peer segment state (DESIGN.md §5.21).
+  [[nodiscard]] std::size_t memory_footprint() const noexcept {
+    return segments_.memory_bytes();
+  }
+
  private:
   friend class ShmemJob;
 
   [[nodiscard]] const SegmentInfo& peer_segment(RankId dst);
+  /// Write this PE's triplet into the job directory and learn it.
+  void publish_segment(SegmentInfo info);
+  /// Learn `peer`'s triplet from the bytes it sent; they must match the
+  /// job directory's entry (std::logic_error otherwise).
+  void learn_segment(RankId peer, std::span<const std::byte> bytes);
   /// Resolve a peer symmetric address to (VA, rkey) from its segment info.
   std::pair<fabric::VirtAddr, fabric::RKey> remote_addr(RankId dst,
                                                         SymAddr addr);
@@ -382,7 +397,9 @@ class ShmemPe {
   fabric::AddressSpace heap_space_;
   SymmetricAllocator allocator_;
   fabric::MemoryRegion heap_region_{};
-  std::vector<std::optional<SegmentInfo>> segments_{};
+  /// Peers whose segment triplet this PE learned; the triplets live once
+  /// per job (`ShmemJob::segment`).
+  core::RankSet segments_;
   bool initialized_ = false;
 
   // On-demand registration state (null under the eager default).

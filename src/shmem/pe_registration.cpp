@@ -104,7 +104,7 @@ std::vector<std::byte> ShmemPe::reg_piggyback_payload(RankId peer) {
   // Segment triplet (rkey 0: "fault for it") followed by the hot-chunk
   // table: u32 count, then count × (u32 chunk, u64 rkey). Handing a chunk
   // out makes `peer` a sharer — it must see any later invalidation.
-  std::vector<std::byte> out = segments_[rank_]->serialize();
+  std::vector<std::byte> out = job_.segment(rank_).serialize();
   std::size_t count_pos = out.size();
   core::wire::put_int<std::uint32_t>(out, 0);
   std::uint32_t count = 0;
@@ -120,9 +120,7 @@ std::vector<std::byte> ShmemPe::reg_piggyback_payload(RankId peer) {
 
 void ShmemPe::reg_consume_payload(RankId peer,
                                   std::span<const std::byte> payload) {
-  if (!segments_[peer]) {
-    segments_[peer] = SegmentInfo::deserialize(payload);
-  }
+  learn_segment(peer, payload);
   core::wire::Reader reader(payload.subspan(24));
   auto count = reader.read_int<std::uint32_t>();
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -31,6 +31,8 @@ struct SegmentInfo {
     return out;
   }
 
+  friend bool operator==(const SegmentInfo&, const SegmentInfo&) = default;
+
   static SegmentInfo deserialize(std::span<const std::byte> data) {
     SegmentInfo info;
     if (data.size() < 24) return info;

@@ -448,6 +448,80 @@ TEST(ConduitJobConfig, ConnectionCapRejectedInStaticMode) {
   EXPECT_NO_THROW({ ConduitJob job(engine, small_job(2, 1, conduit)); });
 }
 
+TEST(ConduitJobConfig, RingPmiRejectedInStaticMode) {
+  ConduitConfig conduit = current_design();
+  conduit.pmi_mode = PmiMode::kRing;
+  expect_rejected(conduit, "conduit.pmi_mode");
+  conduit.connection_mode = ConnectionMode::kOnDemand;
+  sim::Engine engine;
+  EXPECT_NO_THROW({ ConduitJob job(engine, small_job(2, 1, conduit)); });
+}
+
+TEST(ConduitDirectory, BlockingLookupRejectsEndpointThatDiffersFromDirectory) {
+  // Rank 1 re-publishes a forged UD endpoint after init; the fence makes
+  // it the visible PMI value. Rank 0's lookup decodes it, finds it differs
+  // from the endpoint rank 1 wrote into the job directory, and throws.
+  ConduitConfig conduit = proposed_design();
+  conduit.pmi_mode = PmiMode::kBlocking;
+  JobEnv env(small_job(2, 1, conduit));
+  env.job.spawn_all([](Conduit& c) -> sim::Task<> {
+    c.register_handler(20, [](RankId, std::vector<std::byte>) -> sim::Task<> {
+      co_return;
+    });
+    co_await c.init();
+    if (c.rank() == 1) {
+      fabric::EndpointAddr forged = c.job().ud_endpoint(1);
+      forged.qpn += 1;
+      co_await c.pmi().put(ud_endpoint_key(1), encode_endpoint(forged));
+    }
+    co_await c.pmi().fence();
+    if (c.rank() == 0) {
+      co_await c.am_send(1, 20, std::vector<std::byte>(8));
+    }
+  });
+  EXPECT_THROW(env.engine.run(), std::logic_error);
+  EXPECT_EQ(env.job.conduit(0).connected_peer_count(), 0u);
+}
+
+TEST(ConduitDirectory, EveryPmiModeLearnsOnlyWhatItResolved) {
+  // Blocking lookups learn one endpoint each; an iallgather or a finished
+  // ring learns the whole table. Either way the endpoint comes from the
+  // job directory, so the handshake reaches the right peer.
+  for (PmiMode mode :
+       {PmiMode::kBlocking, PmiMode::kNonBlocking, PmiMode::kRing}) {
+    ConduitConfig conduit = proposed_design();
+    conduit.pmi_mode = mode;
+    JobEnv env(small_job(8, 2, conduit));
+    int received = 0;
+    env.run([&received](Conduit& c) -> sim::Task<> {
+      c.register_handler(20,
+                         [&received](RankId, std::vector<std::byte>)
+                             -> sim::Task<> {
+                           ++received;
+                           co_return;
+                         });
+      co_await c.init();
+      if (c.rank() == 0) {
+        co_await c.am_send(5, 20, std::vector<std::byte>(8));
+      }
+    });
+    EXPECT_EQ(received, 1);
+    for (RankId self = 0; self < 8; ++self) {
+      for (RankId peer = 0; peer < 8; ++peer) {
+        bool expected = false;
+        switch (mode) {
+          case PmiMode::kBlocking: expected = self == 0 && peer == 5; break;
+          case PmiMode::kNonBlocking: expected = self == 0; break;
+          case PmiMode::kRing: expected = peer != self; break;
+        }
+        EXPECT_EQ(env.job.conduit(self).knows_ud_endpoint(peer), expected)
+            << "mode " << static_cast<int>(mode) << " rank " << self
+            << " peer " << peer;
+      }
+    }
+  }
+}
+
 TEST(Conduit, DeterministicEndToEnd) {
   auto run_once = [] {
     JobEnv env(small_job(8, 4));

@@ -70,7 +70,7 @@ TEST_P(PmiGeometry, IallgatherDeliversEveryValue) {
       PmiClient& client = jm.client(r);
       CollectiveTicket ticket =
           client.iallgather_start(std::string(1 + r % 5, 'a' + r % 26));
-      std::vector<std::string> values =
+      std::span<const std::string> values =
           co_await client.iallgather_wait(ticket);
       if (values.size() != n) {
         ++bad;

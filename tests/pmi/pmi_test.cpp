@@ -143,7 +143,7 @@ TEST(Iallgather, GathersAllValuesByRank) {
       PmiClient& client = e.manager->client(r);
       CollectiveTicket ticket =
           client.iallgather_start("ep:" + std::to_string(r));
-      std::vector<std::string> values =
+      std::span<const std::string> values =
           co_await client.iallgather_wait(ticket);
       EXPECT_EQ(values.size(), 6u);
       for (RankId peer = 0; peer < values.size(); ++peer) {
@@ -245,8 +245,12 @@ TEST(Iallgather, MultipleRoundsKeepValuesSeparate) {
           client.iallgather_start("b" + std::to_string(r));
       auto second_values = co_await client.iallgather_wait(second);
       auto first_values = co_await client.iallgather_wait(first);
-      EXPECT_EQ(first_values, (std::vector<std::string>{"a0", "a1"}));
-      EXPECT_EQ(second_values, (std::vector<std::string>{"b0", "b1"}));
+      EXPECT_EQ(std::vector<std::string>(first_values.begin(),
+                                         first_values.end()),
+                (std::vector<std::string>{"a0", "a1"}));
+      EXPECT_EQ(std::vector<std::string>(second_values.begin(),
+                                         second_values.end()),
+                (std::vector<std::string>{"b0", "b1"}));
     }(env, rank));
   }
   env.engine.run();
