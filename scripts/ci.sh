@@ -68,6 +68,11 @@ echo "==> host benchmark digest guard (perfbench)"
 # virtual digest has to match perfbench/reference.json ("correct": true).
 # The --trace 1 pass attaches telemetry to every job, so a change on the
 # protocol-observer path that perturbs virtual time fails here too.
+# The --trace 0 pass also caps each workload's peak RSS. Simulated memory
+# is committed where it is touched (DESIGN.md §5.22); committing every heap
+# byte up front measures 294 MB on startup and 598 MB on hybrid, so the
+# caps sit well below that and well above today's values.
+declare -A rss_ceiling_mb=([startup]=200 [collective]=120 [hybrid]=300)
 for trace in 0 1; do
   for workload in startup collective hybrid; do
     result="$(CARGO_TARGET_DIR="${prefix}/perfbench-target" python3 \
@@ -79,6 +84,14 @@ sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
         "${result}"; then
       echo "perfbench ${workload} --trace ${trace}: digest does not match" \
         "the reference" >&2
+      exit 1
+    fi
+    if [[ "${trace}" == 0 ]] && ! python3 -c 'import json, sys
+rss = json.loads(sys.argv[1])["metrics"]["peak_rss_mb"]["value"]
+sys.exit(0 if rss <= float(sys.argv[2]) else 1)' \
+        "${result}" "${rss_ceiling_mb[${workload}]}"; then
+      echo "perfbench ${workload}: peak_rss_mb above its" \
+        "${rss_ceiling_mb[${workload}]} MB ceiling" >&2
       exit 1
     fi
   done

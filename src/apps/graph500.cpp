@@ -83,6 +83,11 @@ sim::Task<> graph500_pe(shmem::ShmemPe& pe, mpi::MpiComm& comm,
     if (owner(u) == pe.rank()) adj[u - my_first].push_back(v);
     if (owner(v) == pe.rank()) adj[v - my_first].push_back(u);
   }
+  // Only the verifying rank reads the edge list again.
+  if (!(params.verify && pe.rank() == 0)) {
+    edges.clear();
+    edges.shrink_to_fit();
+  }
   co_await compute(pe, params.compute_ns_per_edge * params.edges);
 
   co_await comm.barrier();

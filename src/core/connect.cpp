@@ -668,7 +668,7 @@ sim::Task<> Conduit::static_connect_all() {
                     4);
       }
     } else {
-      co_await pmi().put("odcm-rc:" + std::to_string(rank_), value);
+      co_await pmi().put("odcm-rc:" + std::to_string(rank_), std::move(value));
       co_await pmi().fence();
       for (RankId r = 0; r < n; ++r) {
         auto peer_value = co_await pmi().get("odcm-rc:" + std::to_string(r));
@@ -711,14 +711,17 @@ sim::Task<> Conduit::static_connect_bulk() {
   }
   {
     sim::PhaseTimer timer(engine(), stats_, "pmi_exchange");
-    std::string value(2 + 4 * static_cast<std::size_t>(n), 'q');
+    // Each rank's <lid, qpn[0..n)> table is paid for but never built: the
+    // bulk model binds QPs from the fabric directly (materialize_bulk).
+    const std::uint64_t table_bytes = 2 + 4 * static_cast<std::uint64_t>(n);
     if (config().pmi_mode == PmiMode::kNonBlocking) {
-      pmi::CollectiveTicket ticket = pmi().iallgather_start(std::move(value));
+      pmi::CollectiveTicket ticket = pmi().iallgather_start(table_bytes);
       (void)co_await pmi().iallgather_wait(ticket);
     } else {
-      co_await pmi().put("odcm-rc:" + std::to_string(rank_), value);
+      co_await pmi().charge_put("odcm-rc:" + std::to_string(rank_),
+                                table_bytes);
       co_await pmi().fence();
-      co_await pmi().charge_gets(n, value.size());
+      co_await pmi().charge_gets(n, table_bytes);
     }
   }
   bulk_connected_ = true;

@@ -187,19 +187,17 @@ void JobManager::arrive_fence(std::uint32_t index) {
                          });
 }
 
-void JobManager::arrive_allgather(std::uint32_t index, RankId rank,
-                                  std::string value) {
+void JobManager::arrive_allgather(std::uint32_t index,
+                                  std::uint64_t value_bytes) {
   Round& round = allgather_round(index);
   if (round.completed) {
     throw std::logic_error("JobManager: allgather round already completed");
   }
-  round.values[rank] = std::move(value);
+  round.bytes += value_bytes;
   if (++round.arrived < config_.ranks) {
     return;
   }
-  std::uint64_t bytes = 0;
-  for (const auto& contribution : round.values) bytes += contribution.size();
-  round.bytes = bytes;
+  const std::uint64_t bytes = round.bytes;
   oob_bytes_moved_ += bytes * 2 * tree_depth();
   count(metrics_, "pmi/oob_bytes",
         static_cast<std::int64_t>(bytes * 2 * tree_depth()));
@@ -215,19 +213,25 @@ PmiClient::PmiClient(JobManager& manager, RankId rank)
     : manager_(manager), rank_(rank), node_(manager.node_of(rank)) {}
 
 sim::Task<> PmiClient::put(std::string key, std::string value) {
+  co_await charge_put(key, value.size());
+  // Nothing runs between `charge_put` staging the entry and this store.
+  manager_.staged_[key] = std::move(value);
+}
+
+sim::Task<> PmiClient::charge_put(std::string key,
+                                  std::uint64_t value_bytes) {
   const PmiConfig& cfg = manager_.config();
+  const std::uint64_t bytes = key.size() + value_bytes;
   count(manager_.metrics_, "pmi/puts");
-  count(manager_.metrics_, "pmi/put_bytes",
-        static_cast<std::int64_t>(key.size() + value.size()));
+  count(manager_.metrics_, "pmi/put_bytes", static_cast<std::int64_t>(bytes));
   OobSpan span(manager_.engine(), manager_.metrics_, "pmi/put");
   auto busy = cfg.put_overhead +
-              static_cast<sim::Time>(
-                  static_cast<double>(key.size() + value.size()) /
-                  cfg.ipc_bytes_per_ns);
+              static_cast<sim::Time>(static_cast<double>(bytes) /
+                                     cfg.ipc_bytes_per_ns);
   sim::Time done = manager_.reserve_daemon(node_, busy);
   co_await manager_.engine().delay(done - manager_.engine().now());
-  manager_.staged_bytes_ += key.size() + value.size();
-  manager_.staged_[std::move(key)] = std::move(value);
+  manager_.staged_bytes_ += bytes;
+  manager_.staged_[std::move(key)].clear();
 }
 
 sim::Task<std::optional<std::string>> PmiClient::get(std::string key) {
@@ -279,9 +283,16 @@ sim::Task<> PmiClient::wait(CollectiveTicket ticket) {
 }
 
 CollectiveTicket PmiClient::iallgather_start(std::string value) {
+  CollectiveTicket ticket = iallgather_start(std::uint64_t{value.size()});
+  // The round cannot complete before the engine runs again.
+  manager_.allgather_round(ticket.round).values[rank_] = std::move(value);
+  return ticket;
+}
+
+CollectiveTicket PmiClient::iallgather_start(std::uint64_t value_bytes) {
   std::uint32_t index = next_allgather_++;
   count(manager_.metrics_, "pmi/iallgathers_started");
-  manager_.arrive_allgather(index, rank_, std::move(value));
+  manager_.arrive_allgather(index, value_bytes);
   return CollectiveTicket{index};
 }
 

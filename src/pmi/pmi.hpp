@@ -115,7 +115,7 @@ class JobManager {
     std::uint32_t arrived = 0;
     bool completed = false;
     std::vector<std::string> values{};  // iallgather only, indexed by rank
-    std::uint64_t bytes = 0;            // total size of `values`
+    std::uint64_t bytes = 0;            // iallgather only, bytes charged
   };
 
   /// Depth of the k-ary daemon tree.
@@ -137,7 +137,7 @@ class JobManager {
   Round& ring_round(std::uint32_t index);
 
   void arrive_fence(std::uint32_t index);
-  void arrive_allgather(std::uint32_t index, RankId rank, std::string value);
+  void arrive_allgather(std::uint32_t index, std::uint64_t value_bytes);
   void arrive_ring(std::uint32_t index, RankId rank, std::string value);
 
   sim::Engine& engine_;
@@ -173,6 +173,13 @@ class PmiClient {
   /// fence. Duplicate keys overwrite (last fence-epoch wins).
   [[nodiscard]] sim::Task<> put(std::string key, std::string value);
 
+  /// A put whose value nobody reads: costs, counts and stages exactly what
+  /// `put` of a `value_bytes`-byte value does (daemon time, fence bytes,
+  /// one KVS entry), but the key is published with an empty value. Used by
+  /// the bulk static-connect model, whose tables only have to be paid for.
+  [[nodiscard]] sim::Task<> charge_put(std::string key,
+                                       std::uint64_t value_bytes);
+
   /// PMI2_KVS_Get: look up a key made visible by a completed fence.
   /// Returns nullopt for unknown keys. Serialized on the node daemon.
   [[nodiscard]] sim::Task<std::optional<std::string>> get(std::string key);
@@ -195,6 +202,10 @@ class PmiClient {
   /// process manager progresses in the background (combines Put-Fence-Get,
   /// §III-E). Returns immediately with a ticket.
   [[nodiscard]] CollectiveTicket iallgather_start(std::string value);
+
+  /// Byte-count form: contribute a `value_bytes`-byte value that is
+  /// charged like one but delivered as an empty string.
+  [[nodiscard]] CollectiveTicket iallgather_start(std::uint64_t value_bytes);
 
   /// PMIX_Wait for an iallgather: returns all ranks' values, indexed by
   /// rank. Delivery of the result buffer is charged against the node

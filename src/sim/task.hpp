@@ -21,16 +21,7 @@
 #include <type_traits>
 #include <utility>
 
-#if defined(__SANITIZE_ADDRESS__)
-#define ODCM_SIM_ASAN 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define ODCM_SIM_ASAN 1
-#endif
-#endif
-#if defined(ODCM_SIM_ASAN)
-#include <sanitizer/asan_interface.h>
-#endif
+#include "sim/asan.hpp"
 
 namespace odcm::sim {
 
@@ -67,7 +58,7 @@ class FramePool {
     const std::size_t index = class_of(bytes);
     Node* node = heads_[index];
     if (node == nullptr) return ::operator new(class_bytes(index));
-    unpoison(node, class_bytes(index));
+    asan_unpoison(node, class_bytes(index));
     heads_[index] = node->next;
     --counts_[index];
     return node;
@@ -85,14 +76,14 @@ class FramePool {
     }
     heads_[index] = ::new (frame) Node{heads_[index]};
     ++counts_[index];
-    poison(frame, class_bytes(index));
+    asan_poison(frame, class_bytes(index));
   }
 
   /// Return every pooled frame to the heap.
   void trim() noexcept {
     for (std::size_t index = 0; index < kClasses; ++index) {
       while (Node* node = heads_[index]) {
-        unpoison(node, class_bytes(index));
+        asan_unpoison(node, class_bytes(index));
         heads_[index] = node->next;
         ::operator delete(node);
       }
@@ -124,18 +115,6 @@ class FramePool {
   }
   static constexpr std::size_t class_bytes(std::size_t index) noexcept {
     return (index + 1) * kGranule;
-  }
-  static void poison([[maybe_unused]] void* frame,
-                     [[maybe_unused]] std::size_t bytes) noexcept {
-#if defined(ODCM_SIM_ASAN)
-    ASAN_POISON_MEMORY_REGION(frame, bytes);
-#endif
-  }
-  static void unpoison([[maybe_unused]] void* frame,
-                       [[maybe_unused]] std::size_t bytes) noexcept {
-#if defined(ODCM_SIM_ASAN)
-    ASAN_UNPOISON_MEMORY_REGION(frame, bytes);
-#endif
   }
 
   Node* heads_[kClasses]{};

@@ -2,6 +2,9 @@
 // PMIX extensions.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -283,6 +286,89 @@ TEST(Costs, OobBytesTracked) {
   }(env));
   env.engine.run();
   EXPECT_GT(env.manager->oob_bytes_moved(), 0u);
+}
+
+/// Sums every counter a PMI call reports.
+struct CounterSink final : sim::MetricsSink {
+  void on_counter(std::string_view name, std::int64_t delta) override {
+    counters[std::string(name)] += delta;
+  }
+  void on_duration(std::string_view, sim::Time) override {}
+  std::map<std::string, std::int64_t> counters;
+};
+
+/// What one 8-rank exchange of `value_bytes`-byte values costs, and how
+/// many value bytes came back out of the store.
+struct Exchange {
+  std::vector<sim::Time> staged;  ///< per rank: put done / iallgather started
+  std::vector<sim::Time> done;    ///< per rank: fence / iallgather wait done
+  std::int64_t put_bytes = 0;
+  std::uint64_t oob_bytes = 0;
+  std::uint64_t stored_bytes = 0;
+};
+
+Exchange exchange(bool blocking, bool charge_only, std::size_t value_bytes) {
+  constexpr std::uint32_t kRanks = 8;
+  Env env(kRanks, 2);
+  CounterSink sink;
+  env.manager->set_metrics_sink(&sink);
+  Exchange out;
+  out.staged.resize(kRanks);
+  out.done.resize(kRanks);
+  for (RankId rank = 0; rank < kRanks; ++rank) {
+    env.engine.spawn([](Env& e, Exchange& x, RankId r, bool blocking,
+                        bool charge_only, std::size_t n) -> sim::Task<> {
+      PmiClient& client = e.manager->client(r);
+      if (blocking) {
+        std::string key = "table:" + std::to_string(r);
+        if (charge_only) {
+          co_await client.charge_put(key, n);
+        } else {
+          co_await client.put(key, std::string(n, 'v'));
+        }
+        x.staged[r] = e.engine.now();
+        co_await client.fence();
+        x.done[r] = e.engine.now();
+        std::optional<std::string> value = co_await client.get(key);
+        EXPECT_TRUE(value.has_value());
+        if (value) x.stored_bytes += value->size();
+      } else {
+        CollectiveTicket ticket =
+            charge_only ? client.iallgather_start(std::uint64_t{n})
+                        : client.iallgather_start(std::string(n, 'v'));
+        x.staged[r] = e.engine.now();
+        std::span<const std::string> values =
+            co_await client.iallgather_wait(ticket);
+        x.done[r] = e.engine.now();
+        if (r == 0) {
+          for (const std::string& value : values) {
+            x.stored_bytes += value.size();
+          }
+        }
+      }
+    }(env, out, rank, blocking, charge_only, value_bytes));
+  }
+  env.engine.run();
+  out.put_bytes = sink.counters["pmi/put_bytes"];
+  out.oob_bytes = env.manager->oob_bytes_moved();
+  return out;
+}
+
+TEST(ChargeOnly, CostsWhatTheValueWouldButStoresNoBytes) {
+  constexpr std::size_t kBytes = 4098;
+  for (bool blocking : {true, false}) {
+    const Exchange full = exchange(blocking, false, kBytes);
+    const Exchange charged = exchange(blocking, true, kBytes);
+    EXPECT_EQ(charged.staged, full.staged) << "blocking " << blocking;
+    EXPECT_EQ(charged.done, full.done) << "blocking " << blocking;
+    EXPECT_EQ(charged.put_bytes, full.put_bytes) << "blocking " << blocking;
+    EXPECT_EQ(charged.oob_bytes, full.oob_bytes) << "blocking " << blocking;
+    EXPECT_GT(full.oob_bytes, 0u);
+    EXPECT_EQ(full.stored_bytes, 8 * kBytes) << "blocking " << blocking;
+    EXPECT_EQ(charged.stored_bytes, 0u) << "blocking " << blocking;
+  }
+  EXPECT_EQ(exchange(true, true, kBytes).put_bytes,
+            8 * static_cast<std::int64_t>(kBytes + 7));
 }
 
 TEST(Determinism, IdenticalRunsIdenticalTimes) {

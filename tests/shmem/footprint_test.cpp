@@ -1,13 +1,22 @@
 // Per-PE memory of peer state: each rank's segment triplet and UD endpoint
 // live once per job, and a PE holds only which of them it learned plus
-// slots for the peers it touched (DESIGN.md §5.21).
+// slots for the peers it touched (DESIGN.md §5.21). A job's live heap grows
+// linearly with its size.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <cstdint>
 #include <vector>
 
 #include "shmem/job.hpp"
+#include "sim/asan.hpp"
 #include "test_util.hpp"
+
+#if defined(ODCM_SIM_ASAN)
+// ASan's allocator bypasses glibc's, so `mallinfo2` sees nothing there.
+// The runtime exports this query; GCC ships no header that declares it.
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+#endif
 
 namespace odcm::shmem {
 namespace {
@@ -114,6 +123,36 @@ TEST(Footprint, StaticDesignLearnsEverySegment) {
       EXPECT_EQ(env.job.segment(self).size, config.shmem.heap_bytes);
     }
   }
+}
+
+/// Bytes the allocator holds for live allocations.
+std::size_t live_heap_bytes() {
+#if defined(ODCM_SIM_ASAN)
+  return __sanitizer_get_current_allocated_bytes();
+#else
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#endif
+}
+
+/// Live heap a current-design hello adds, measured before teardown.
+std::size_t current_design_hello_heap(std::uint32_t pes) {
+  const std::size_t before = live_heap_bytes();
+  ShmemJobConfig config = small_job(pes, 16, core::current_design());
+  config.shmem.heap_bytes = 32 * 1024;
+  JobEnv env(config);
+  env.run(with_init([](ShmemPe&) -> sim::Task<> { co_return; }));
+  return live_heap_bytes() - before;
+}
+
+TEST(Footprint, CurrentDesignHeapGrowsLinearlyWithJobSize) {
+  // Above the bulk threshold each rank's static connect publishes an
+  // N-entry QP table; the job pays for all N tables but keeps none, so
+  // doubling N at most doubles the live heap plus a margin.
+  const std::size_t small = current_design_hello_heap(4096);
+  const std::size_t large = current_design_hello_heap(8192);
+  EXPECT_LE(static_cast<double>(large), 2.2 * static_cast<double>(small))
+      << small << " B at 4096 PEs, " << large << " B at 8192 PEs";
 }
 
 }  // namespace
