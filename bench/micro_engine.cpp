@@ -7,6 +7,7 @@
 #include "core/conduit.hpp"
 #include "fabric/fabric.hpp"
 #include "sim/engine.hpp"
+#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 
 using namespace odcm;
@@ -24,6 +25,51 @@ void BM_EngineEventDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EngineEventDispatch);
+
+void BM_SameTimeCascade(benchmark::State& state) {
+  // A zero-delay chain (the shape of gate opens, task spawns and AM
+  // hand-offs) over a background queue of future events: each link is
+  // scheduled at the current time while 1,024 keys wait in the heap.
+  constexpr int kBackground = 1024;
+  constexpr int kChain = 10000;
+  struct Chain {
+    sim::Engine& engine;
+    int left;
+    void step() {
+      if (--left > 0) engine.schedule_at(engine.now(), [this] { step(); });
+    }
+  };
+  for (auto _ : state) {
+    sim::Engine engine;
+    for (int i = 0; i < kBackground; ++i) {
+      engine.schedule_at(sim::sec + static_cast<sim::Time>(i), [] {});
+    }
+    Chain chain{engine, kChain};
+    engine.schedule_at(0, [&chain] { chain.step(); });
+    engine.run();
+  }
+  state.SetItemsProcessed(state.iterations() * kChain);
+}
+BENCHMARK(BM_SameTimeCascade);
+
+void BM_StatSetAdd(benchmark::State& state) {
+  // The per-operation counter bumps of the message path, three of them
+  // with names longer than a short-string buffer.
+  sim::StatSet stats;
+  for (auto _ : state) {
+    stats.add("am_sent");
+    stats.add("am_received");
+    stats.add("connections_established");
+    stats.add("bulk_fragments_delivered");
+    stats.add("qp_created_rc");
+    stats.add("mpi_send");
+    stats.add_time("rma_rc_time", 5);
+    stats.add_time("credit_stall_time", 3);
+  }
+  benchmark::DoNotOptimize(stats.counter("am_sent"));
+  state.SetItemsProcessed(state.iterations() * 8);
+}
+BENCHMARK(BM_StatSetAdd);
 
 void BM_CoroutineSpawnAndDelay(benchmark::State& state) {
   for (auto _ : state) {

@@ -340,11 +340,14 @@ sim::Task<> Conduit::shm_am_send(RankId dst, std::uint16_t handler,
 namespace {
 /// Stat counters of one RMA: every transport counts the first, the shm
 /// transport also the second.
-std::pair<const char*, const char*> rma_counters(fabric::WcOpcode op) {
+std::pair<sim::StatName, sim::StatName> rma_counters(fabric::WcOpcode op) {
   switch (op) {
-    case fabric::WcOpcode::kRdmaWrite: return {"rma_put", "rma_put_shm"};
-    case fabric::WcOpcode::kRdmaRead: return {"rma_get", "rma_get_shm"};
-    default: return {"rma_atomic", "rma_atomic_shm"};
+    case fabric::WcOpcode::kRdmaWrite:
+      return {sim::StatName("rma_put"), sim::StatName("rma_put_shm")};
+    case fabric::WcOpcode::kRdmaRead:
+      return {sim::StatName("rma_get"), sim::StatName("rma_get_shm")};
+    default:
+      return {sim::StatName("rma_atomic"), sim::StatName("rma_atomic_shm")};
   }
 }
 }  // namespace

@@ -267,7 +267,8 @@ sim::Task<> ShmemPe::rma(const char* op, RankId dst, SymAddr addr,
 sim::Task<> ShmemPe::route_rma(const char* op, RankId dst, SymAddr addr,
                                fabric::RmaRequest wr) {
   const std::size_t len = wr.length();
-  stats().add(wr.is_get() ? "shmem_get" : "shmem_put");
+  stats().add(wr.is_get() ? sim::StatName("shmem_get")
+                           : sim::StatName("shmem_put"));
   if (len == 0) {
     // Zero-length transfers are complete no-ops (OpenSHMEM 1.4 §9.3): no
     // connection, no registration fault, no credit, no modeled latency.

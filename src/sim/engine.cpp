@@ -23,10 +23,25 @@ constexpr std::uint64_t kJitterSalt = 0x6a09e667f3bcc909ULL;
 
 }  // namespace
 
+std::uint64_t SchedulePolicy::tie(std::uint64_t seq) const noexcept {
+  return tie_break == TieBreak::kSeededShuffle ? mix_seeded(seed, seq) : seq;
+}
+
+Time SchedulePolicy::perturbed_time(Time t, Time now,
+                                    std::uint64_t seq) const noexcept {
+  if (jitter_max == 0 || t <= now) return t;
+  // Bounded extra latency on future events only: same-time wakeups (gate
+  // opens, task spawns) keep their timestamp so zero-latency semantics
+  // survive; they are still permuted by the tie-break.
+  return t + static_cast<Time>(mix_seeded(seed ^ kJitterSalt, seq) %
+                               (static_cast<std::uint64_t>(jitter_max) + 1));
+}
+
 Engine::~Engine() {
   // Destroy queued callbacks first: their captures may own coroutine frames,
   // which then land in the pool before it is trimmed.
   queue_ = {};
+  run_.clear();
   slots_.clear();
   free_slots_.clear();
   detail::FramePool::local().trim();
@@ -40,18 +55,8 @@ void Engine::schedule_at(Time t, Callback fn) {
     throw std::logic_error("Engine::schedule_at: empty callback");
   }
   const std::uint64_t seq = next_seq_++;
-  std::uint64_t tie = seq;
-  if (policy_.tie_break == SchedulePolicy::TieBreak::kSeededShuffle) {
-    tie = mix_seeded(policy_.seed, seq);
-  }
-  if (policy_.jitter_max > 0 && t > now_) {
-    // Bounded extra latency on future events only: same-time wakeups (gate
-    // opens, task spawns) keep their timestamp so zero-latency semantics
-    // survive; they are still permuted by the tie-break.
-    t += static_cast<Time>(
-        mix_seeded(policy_.seed ^ kJitterSalt, seq) %
-        (static_cast<std::uint64_t>(policy_.jitter_max) + 1));
-  }
+  const std::uint64_t tie = policy_.tie(seq);
+  t = policy_.perturbed_time(t, now_, seq);
   std::uint64_t slot = 0;
   if (free_slots_.empty()) {
     slot = slots_.size();
@@ -61,7 +66,13 @@ void Engine::schedule_at(Time t, Callback fn) {
     free_slots_.pop_back();
     slots_[slot] = std::move(fn);
   }
-  queue_.push(Event{t, tie, seq, slot});
+  const Event event{t, tie, seq, slot};
+  if (t == now_ &&
+      (run_head_ == run_.size() || EventLater{}(event, run_.back()))) {
+    run_.push_back(event);
+  } else {
+    queue_.push(event);
+  }
 }
 
 void Engine::spawn(Task<> task) {
@@ -75,9 +86,21 @@ void Engine::spawn(Task<> task) {
 }
 
 void Engine::run_loop() {
-  while (!queue_.empty()) {
-    const Event event = queue_.top();
-    queue_.pop();
+  while (true) {
+    Event event{};
+    if (run_head_ != run_.size() &&
+        (queue_.empty() || EventLater{}(queue_.top(), run_[run_head_]))) {
+      event = run_[run_head_++];
+      if (run_head_ == run_.size()) {
+        run_.clear();
+        run_head_ = 0;
+      }
+    } else if (!queue_.empty()) {
+      event = queue_.top();
+      queue_.pop();
+    } else {
+      break;
+    }
     // Move the callback out before running it: it may schedule events,
     // which can grow `slots_` or reuse this slot.
     Callback fn = std::move(slots_[event.slot]);

@@ -1,9 +1,10 @@
 // Deterministic discrete-event engine.
 //
 // The engine owns a priority queue of (time, sequence, slot) event keys, a
-// slot table holding each pending event's callback, and a virtual clock. By
-// default events scheduled for the same time fire in insertion order, which
-// makes every simulation run bit-for-bit reproducible.
+// same-time run of keys at the current time (DESIGN.md §5.23), a slot table
+// holding each pending event's callback, and a virtual clock. By default
+// events scheduled for the same time fire in insertion order, which makes
+// every simulation run bit-for-bit reproducible.
 // Coroutine tasks suspend by scheduling their own resumption as events (see
 // `delay`, `sync.hpp`).
 //
@@ -55,6 +56,15 @@ struct SchedulePolicy {
   [[nodiscard]] bool perturbs() const noexcept {
     return tie_break != TieBreak::kInsertion || jitter_max != 0;
   }
+
+  /// Tie-break key of the event with sequence number `seq`: `seq` itself
+  /// under kInsertion, a stateless hash of `(seed, seq)` under the shuffle.
+  [[nodiscard]] std::uint64_t tie(std::uint64_t seq) const noexcept;
+
+  /// Dispatch time of event `seq` scheduled at `t` while the clock reads
+  /// `now`: `t` plus its jitter draw if `t > now`, else `t` unchanged.
+  [[nodiscard]] Time perturbed_time(Time t, Time now,
+                                    std::uint64_t seq) const noexcept;
 };
 
 /// Move-only `void()` callable stored inline: no heap allocation per event.
@@ -229,6 +239,13 @@ class Engine {
   void run_loop();
 
   std::priority_queue<Event, std::vector<Event>, EventLater> queue_{};
+  /// Keys at `now_` in dispatch order, consumed from `run_head_`: a key
+  /// scheduled at `now_` that sorts after the run's last key is appended
+  /// here instead of pushed on the heap. `run_loop` pops whichever of the
+  /// heap top and the run front sorts first, so the dispatch order is the
+  /// heap's total order under every policy.
+  std::vector<Event> run_{};
+  std::size_t run_head_ = 0;
   std::vector<Callback> slots_{};
   std::vector<std::uint64_t> free_slots_{};  ///< recycled `slots_` indices
   SchedulePolicy policy_{};

@@ -47,6 +47,41 @@ TEST(Conduit, OnDemandAmRoundTrip) {
   EXPECT_EQ(received[0], "rank1<-0:ping");
 }
 
+TEST(Conduit, AggregateStatsEqualsThePerRankSum) {
+  JobEnv env(small_job(4, 2));
+  env.run([](Conduit& c) -> sim::Task<> {
+    c.register_handler(20, [](RankId, std::vector<std::byte>) -> sim::Task<> {
+      co_return;
+    });
+    co_await c.init();
+    // Uneven traffic so the ranks' counter sets differ.
+    for (RankId peer = 0; peer < c.rank(); ++peer) {
+      co_await c.am_send(peer, 20, text_bytes("x"));
+    }
+    co_await c.barrier_global();
+  });
+  std::map<std::string, std::int64_t> counters;
+  std::map<std::string, sim::Time> phases;
+  for (RankId r = 0; r < 4; ++r) {
+    const sim::StatSet& stats = env.job.conduit(r).stats();
+    for (const auto& [name, value] : stats.counters()) counters[name] += value;
+    for (const auto& [name, value] : stats.phases()) phases[name] += value;
+  }
+  const sim::StatSet total = env.job.aggregate_stats();
+  std::map<std::string, std::int64_t> total_counters;
+  for (const auto& [name, value] : total.counters()) {
+    total_counters.emplace(name, value);
+  }
+  std::map<std::string, sim::Time> total_phases;
+  for (const auto& [name, value] : total.phases()) {
+    total_phases.emplace(name, value);
+  }
+  ASSERT_TRUE(counters.contains("am_sent"));
+  ASSERT_FALSE(phases.empty());
+  EXPECT_EQ(total_counters, counters);
+  EXPECT_EQ(total_phases, phases);
+}
+
 TEST(Conduit, OnDemandCreatesNoRcConnectionsWithoutTraffic) {
   JobEnv env(small_job(4, 2));
   env.run([](Conduit& c) -> sim::Task<> { co_await c.init(); });

@@ -4,8 +4,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/engine.hpp"
@@ -395,6 +397,119 @@ TEST(Engine, PinnedSameTimeOrderUnderSeededShuffle) {
   EXPECT_EQ(pinned_dispatch_order(policy),
             (std::vector<int>{1, 10, 8, 5, 7, 0, 9, 4, 6, 3, 103, 207, 203, 2,
                               107, 11, 303, 307}));
+}
+
+// Order equivalence: a random cascade of same-time and future events,
+// dispatched by the engine and by a reference model that keeps every pending
+// key in one set ordered by (time, tie, seq) and always takes the least.
+// Each event's children are a pure function of (scenario seed, event seq),
+// so both sides grow the same event tree only if they agree on the order.
+struct CascadeKey {
+  Time time;
+  std::uint64_t tie;
+  std::uint64_t seq;
+  bool operator<(const CascadeKey& other) const {
+    if (time != other.time) return time < other.time;
+    if (tie != other.tie) return tie < other.tie;
+    return seq < other.seq;
+  }
+};
+
+struct Cascade {
+  static constexpr std::uint64_t kMaxEvents = 2000;
+
+  std::uint64_t seed;
+  std::uint64_t scheduled = 0;  ///< next sequence number
+
+  /// Delays of the children of event `seq`: 0-3 children, about half at
+  /// the current time, the rest 1-6 ns out (so future times collide too).
+  std::vector<Time> children(std::uint64_t seq) {
+    std::uint64_t h = (seed + 1) * 0x9e3779b97f4a7c15ULL;
+    h ^= (seq + 1) * 0xbf58476d1ce4e5b9ULL;
+    auto draw = [&h](std::uint64_t n) {
+      h ^= h >> 29;
+      h *= 0x94d049bb133111ebULL;
+      h ^= h >> 32;
+      return h % n;
+    };
+    std::vector<Time> out(static_cast<std::size_t>(draw(4)));
+    for (Time& dt : out) dt = draw(2) == 0 ? 0 : 1 + draw(6);
+    return out;
+  }
+  /// The initial batch: 24 events over times 0-3.
+  static Time initial_time(std::uint64_t i) { return i % 4; }
+  static constexpr std::uint64_t kInitial = 24;
+};
+
+std::vector<std::pair<std::uint64_t, Time>> engine_cascade(
+    const SchedulePolicy& policy, std::uint64_t seed) {
+  struct Ctx {
+    Engine engine;
+    Cascade cascade;
+    std::vector<std::pair<std::uint64_t, Time>> order;
+    void schedule(Time t) {
+      const std::uint64_t seq = cascade.scheduled++;
+      engine.schedule_at(t, [this, seq] { fire(seq); });
+    }
+    void fire(std::uint64_t seq) {
+      order.emplace_back(seq, engine.now());
+      for (Time dt : cascade.children(seq)) {
+        if (cascade.scheduled == Cascade::kMaxEvents) return;
+        schedule(engine.now() + dt);
+      }
+    }
+  };
+  Ctx ctx;
+  ctx.cascade.seed = seed;
+  ctx.engine.set_schedule_policy(policy);
+  for (std::uint64_t i = 0; i < Cascade::kInitial; ++i) {
+    ctx.schedule(Cascade::initial_time(i));
+  }
+  ctx.engine.run();
+  return ctx.order;
+}
+
+std::vector<std::pair<std::uint64_t, Time>> model_cascade(
+    const SchedulePolicy& policy, std::uint64_t seed) {
+  Cascade cascade{.seed = seed};
+  std::set<CascadeKey> pending;
+  Time now = 0;
+  auto schedule = [&](Time t) {
+    const std::uint64_t seq = cascade.scheduled++;
+    pending.insert({policy.perturbed_time(t, now, seq), policy.tie(seq), seq});
+  };
+  for (std::uint64_t i = 0; i < Cascade::kInitial; ++i) {
+    schedule(Cascade::initial_time(i));
+  }
+  std::vector<std::pair<std::uint64_t, Time>> order;
+  while (!pending.empty()) {
+    const CascadeKey key = *pending.begin();
+    pending.erase(pending.begin());
+    now = key.time;
+    order.emplace_back(key.seq, now);
+    for (Time dt : cascade.children(key.seq)) {
+      if (cascade.scheduled == Cascade::kMaxEvents) break;
+      schedule(now + dt);
+    }
+  }
+  return order;
+}
+
+TEST(Engine, DispatchOrderEqualsSortedKeysUnderEveryPolicy) {
+  using TieBreak = SchedulePolicy::TieBreak;
+  for (TieBreak tie_break : {TieBreak::kInsertion, TieBreak::kSeededShuffle}) {
+    for (Time jitter : {Time{0}, Time{3}, Time{40}}) {
+      for (std::uint64_t seed = 0; seed < 64; ++seed) {
+        const SchedulePolicy policy{
+            .tie_break = tie_break, .seed = seed * 7 + 1, .jitter_max = jitter};
+        const auto expected = model_cascade(policy, seed);
+        ASSERT_EQ(engine_cascade(policy, seed), expected)
+            << "tie_break " << static_cast<int>(tie_break) << " jitter "
+            << jitter << " seed " << seed;
+        ASSERT_GT(expected.size(), Cascade::kInitial);
+      }
+    }
+  }
 }
 
 }  // namespace
