@@ -9,6 +9,13 @@ Fabric::Fabric(sim::Engine& engine, FabricConfig config)
   if (config_.nodes == 0) {
     throw std::invalid_argument("Fabric: node count must be positive");
   }
+  sim::require_rate(config_.bytes_per_ns, "Fabric: fabric.bytes_per_ns");
+  sim::require_rate(config_.loopback_bytes_per_ns,
+                    "Fabric: fabric.loopback_bytes_per_ns");
+  sim::require_rate(config_.shm_bytes_per_ns,
+                    "Fabric: fabric.shm_bytes_per_ns");
+  sim::require_rate(config_.eager_copy_bytes_per_ns,
+                    "Fabric: fabric.eager_copy_bytes_per_ns");
   hcas_.reserve(config_.nodes);
   shm_domains_.reserve(config_.nodes);
   for (std::uint32_t n = 0; n < config_.nodes; ++n) {

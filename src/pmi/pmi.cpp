@@ -1,40 +1,10 @@
 #include "pmi/pmi.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
 namespace odcm::pmi {
-
-namespace {
-
-/// Report a counter to the (possibly absent) metrics sink.
-void count(sim::MetricsSink* sink, std::string_view name,
-           std::int64_t delta = 1) {
-  if (sink != nullptr) sink->on_counter(name, delta);
-}
-
-/// RAII span: reports the elapsed virtual time of one PMI call as a
-/// duration sample. Observation-only; never perturbs the cost model.
-class OobSpan {
- public:
-  OobSpan(sim::Engine& engine, sim::MetricsSink* sink, std::string_view name)
-      : engine_(engine), sink_(sink), name_(name), start_(engine.now()) {}
-  OobSpan(const OobSpan&) = delete;
-  OobSpan& operator=(const OobSpan&) = delete;
-  ~OobSpan() {
-    if (sink_ != nullptr) sink_->on_duration(name_, engine_.now() - start_);
-  }
-
- private:
-  sim::Engine& engine_;
-  sim::MetricsSink* sink_;
-  std::string_view name_;
-  sim::Time start_;
-};
-
-}  // namespace
 
 JobManager::JobManager(sim::Engine& engine, PmiConfig config)
     : engine_(engine), config_(config) {
@@ -44,6 +14,10 @@ JobManager::JobManager(sim::Engine& engine, PmiConfig config)
   if (config_.tree_fanout < 2) {
     throw std::invalid_argument("JobManager: tree_fanout must be >= 2");
   }
+  sim::require_rate(config_.ipc_bytes_per_ns,
+                    "JobManager: pmi.ipc_bytes_per_ns");
+  sim::require_rate(config_.oob_bytes_per_ns,
+                    "JobManager: pmi.oob_bytes_per_ns");
   nodes_ = (config_.ranks + config_.ranks_per_node - 1) /
            config_.ranks_per_node;
   daemon_free_.assign(nodes_, 0);
@@ -137,8 +111,8 @@ void JobManager::arrive_ring(std::uint32_t index, RankId rank,
   // tree traversal plus per-hop neighbor delivery, independent of N.
   std::uint64_t bytes = 0;
   for (const auto& contribution : round.values) bytes += contribution.size();
-  oob_bytes_moved_ += bytes;  // each value moves to exactly two neighbors
-  count(metrics_, "pmi/oob_bytes", static_cast<std::int64_t>(bytes));
+  // Each value moves to exactly two neighbors.
+  stats_.add("pmi/oob_bytes", static_cast<std::int64_t>(bytes));
   sim::Time cost = 2 * tree_depth() * config_.oob_latency +
                    4 * config_.oob_latency;
   engine_.schedule_after(cost, [this, index] {
@@ -172,9 +146,8 @@ void JobManager::arrive_fence(std::uint32_t index) {
   std::uint64_t bytes = staged_bytes_;
   staged_bytes_ = 0;
   std::uint64_t entries = flushing->size();
-  oob_bytes_moved_ += bytes * 2 * tree_depth();
-  count(metrics_, "pmi/oob_bytes",
-        static_cast<std::int64_t>(bytes * 2 * tree_depth()));
+  stats_.add("pmi/oob_bytes",
+             static_cast<std::int64_t>(bytes * 2 * tree_depth()));
   engine_.schedule_after(fence_cost(bytes, entries),
                          [this, index, flushing] {
                            for (auto& [key, value] : *flushing) {
@@ -198,9 +171,8 @@ void JobManager::arrive_allgather(std::uint32_t index,
     return;
   }
   const std::uint64_t bytes = round.bytes;
-  oob_bytes_moved_ += bytes * 2 * tree_depth();
-  count(metrics_, "pmi/oob_bytes",
-        static_cast<std::int64_t>(bytes * 2 * tree_depth()));
+  stats_.add("pmi/oob_bytes",
+             static_cast<std::int64_t>(bytes * 2 * tree_depth()));
   engine_.schedule_after(allgather_cost(bytes, config_.ranks),
                          [this, index] {
                            Round& round = allgather_round(index);
@@ -222,9 +194,8 @@ sim::Task<> PmiClient::charge_put(std::string key,
                                   std::uint64_t value_bytes) {
   const PmiConfig& cfg = manager_.config();
   const std::uint64_t bytes = key.size() + value_bytes;
-  count(manager_.metrics_, "pmi/puts");
-  count(manager_.metrics_, "pmi/put_bytes", static_cast<std::int64_t>(bytes));
-  OobSpan span(manager_.engine(), manager_.metrics_, "pmi/put");
+  manager_.stats_.add("pmi/puts");
+  manager_.stats_.add("pmi/put_bytes", static_cast<std::int64_t>(bytes));
   auto busy = cfg.put_overhead +
               static_cast<sim::Time>(static_cast<double>(bytes) /
                                      cfg.ipc_bytes_per_ns);
@@ -236,8 +207,7 @@ sim::Task<> PmiClient::charge_put(std::string key,
 
 sim::Task<std::optional<std::string>> PmiClient::get(std::string key) {
   const PmiConfig& cfg = manager_.config();
-  count(manager_.metrics_, "pmi/gets");
-  OobSpan span(manager_.engine(), manager_.metrics_, "pmi/get");
+  manager_.stats_.add("pmi/gets");
   // The reply size is not known until the lookup; charge for the key on the
   // request and for the value on the reply.
   sim::Time done = manager_.reserve_daemon(
@@ -272,13 +242,12 @@ sim::Task<> PmiClient::fence() {
 
 CollectiveTicket PmiClient::ifence_start() {
   std::uint32_t index = next_fence_++;
-  count(manager_.metrics_, "pmi/fences_started");
+  manager_.stats_.add("pmi/fences_started");
   manager_.arrive_fence(index);
   return CollectiveTicket{index};
 }
 
 sim::Task<> PmiClient::wait(CollectiveTicket ticket) {
-  OobSpan span(manager_.engine(), manager_.metrics_, "pmi/fence_wait");
   co_await manager_.fence_round(ticket.round).gate.wait();
 }
 
@@ -291,7 +260,7 @@ CollectiveTicket PmiClient::iallgather_start(std::string value) {
 
 CollectiveTicket PmiClient::iallgather_start(std::uint64_t value_bytes) {
   std::uint32_t index = next_allgather_++;
-  count(manager_.metrics_, "pmi/iallgathers_started");
+  manager_.stats_.add("pmi/iallgathers_started");
   manager_.arrive_allgather(index, value_bytes);
   return CollectiveTicket{index};
 }
@@ -299,8 +268,7 @@ CollectiveTicket PmiClient::iallgather_start(std::uint64_t value_bytes) {
 sim::Task<std::pair<std::string, std::string>> PmiClient::ring(
     std::string value) {
   std::uint32_t index = next_ring_++;
-  count(manager_.metrics_, "pmi/rings");
-  OobSpan span(manager_.engine(), manager_.metrics_, "pmi/ring");
+  manager_.stats_.add("pmi/rings");
   manager_.arrive_ring(index, rank_, std::move(value));
   JobManager::Round& round = manager_.ring_round(index);
   co_await round.gate.wait();
@@ -320,7 +288,6 @@ sim::Task<std::pair<std::string, std::string>> PmiClient::ring(
 
 sim::Task<std::span<const std::string>> PmiClient::iallgather_wait(
     CollectiveTicket ticket) {
-  OobSpan span(manager_.engine(), manager_.metrics_, "pmi/iallgather_wait");
   JobManager::Round& round = manager_.allgather_round(ticket.round);
   co_await round.gate.wait();
   // Bulk delivery of the gathered table over local IPC, serialized on the

@@ -14,7 +14,9 @@
 // Correctness is real (values actually move through a shared store with
 // fence-visibility semantics); timing comes from a calibrated cost model:
 // per-call client↔daemon IPC overheads, per-node daemon serialization, and
-// tree-structured data movement for collective rounds.
+// tree-structured data movement for collective rounds. The job manager
+// counts calls and out-of-band bytes (`pmi/...`) into one job-level
+// `sim::StatSet`, which the telemetry registry folds in at `finish`.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +29,7 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/metrics_sink.hpp"
+#include "sim/stats.hpp"
 #include "sim/sync.hpp"
 #include "sim/task.hpp"
 #include "sim/time.hpp"
@@ -94,17 +96,13 @@ class JobManager {
     return fences_completed_;
   }
   [[nodiscard]] std::uint64_t oob_bytes_moved() const noexcept {
-    return oob_bytes_moved_;
+    return static_cast<std::uint64_t>(stats_.counter("pmi/oob_bytes"));
   }
 
-  /// Install (or clear) a live metrics sink; every PMI call then reports
-  /// `pmi/...` counters and out-of-band exchange span durations to it. The
-  /// accounting is observation-only — it never touches the cost model — so
-  /// virtual time is identical with and without a sink.
-  void set_metrics_sink(sim::MetricsSink* sink) noexcept { metrics_ = sink; }
-  [[nodiscard]] sim::MetricsSink* metrics_sink() const noexcept {
-    return metrics_;
-  }
+  /// The job's `pmi/...` call counters (puts, gets, rounds started, bytes).
+  /// The counting never touches the cost model. The per-call waits are
+  /// timed on each PE by the conduit's `pmi_exchange`/`pmi_wait` phases.
+  [[nodiscard]] const sim::StatSet& stats() const noexcept { return stats_; }
 
  private:
   friend class PmiClient;
@@ -155,8 +153,7 @@ class JobManager {
   std::vector<std::unique_ptr<Round>> allgather_rounds_{};
   std::vector<std::unique_ptr<Round>> ring_rounds_{};
   std::uint32_t fences_completed_ = 0;
-  std::uint64_t oob_bytes_moved_ = 0;
-  sim::MetricsSink* metrics_ = nullptr;
+  sim::StatSet stats_{};
 };
 
 /// Per-process PMI endpoint.

@@ -1,7 +1,6 @@
 #include "shmem/job.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace odcm::shmem {
@@ -18,11 +17,8 @@ ShmemJob::ShmemJob(sim::Engine& engine, ShmemJobConfig config)
     throw std::invalid_argument(
         "ShmemJob: shmem.wait_poll_interval must be > 0");
   }
-  if (!std::isfinite(shmem.local_bytes_per_ns) ||
-      shmem.local_bytes_per_ns <= 0) {
-    throw std::invalid_argument(
-        "ShmemJob: shmem.local_bytes_per_ns must be finite and > 0");
-  }
+  sim::require_rate(shmem.local_bytes_per_ns,
+                    "ShmemJob: shmem.local_bytes_per_ns");
   if (shmem.registration == RegistrationMode::kOnDemand) {
     // The same bounds RegistrationCache enforces, checked before start_pes.
     if (shmem.reg_chunk_bytes == 0 || shmem.reg_chunk_bytes % 8 != 0) {

@@ -59,6 +59,13 @@ inline constexpr std::string_view kStatNames[] = {
     "mpi_rdv_stale_credits",
     "mpi_recv",
     "mpi_send",
+    "pmi/fences_started",
+    "pmi/gets",
+    "pmi/iallgathers_started",
+    "pmi/oob_bytes",
+    "pmi/put_bytes",
+    "pmi/puts",
+    "pmi/rings",
     "pmi_exchange",
     "pmi_wait",
     "qp_created_rc",

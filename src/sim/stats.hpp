@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/metrics_sink.hpp"
 #include "sim/stat_names.hpp"
 #include "sim/time.hpp"
 
@@ -105,27 +104,19 @@ class StatView {
 /// Names are `StatName`s (see `stat_names.hpp`). A name reads back once it
 /// has been touched, even by a delta of 0; untouched names read 0.
 ///
-/// An optional `MetricsSink` (set by the telemetry subsystem when attached)
-/// receives every observation as it happens; with no sink installed the
-/// forwarding costs one branch.
+/// This is the only store of the counts: an attached `telemetry::Telemetry`
+/// session reads each PE's set once, at `finish`.
 class StatSet {
  public:
   /// Increment counter `name` by `delta`.
   void add(StatName name, std::int64_t delta = 1) {
     counters_.add(name.id(), delta);
-    if (sink_ != nullptr) sink_->on_counter(name.view(), delta);
   }
 
   /// Accumulate `dt` of virtual time into phase `name`.
   void add_time(StatName name, Time dt) {
     phases_.add(name.id(), dt);
-    if (sink_ != nullptr) sink_->on_duration(name.view(), dt);
   }
-
-  /// Install (or clear, with nullptr) the live observation sink. The sink
-  /// must outlive the stat set or be detached before destruction.
-  void set_sink(MetricsSink* sink) noexcept { sink_ = sink; }
-  [[nodiscard]] MetricsSink* sink() const noexcept { return sink_; }
 
   [[nodiscard]] std::int64_t counter(std::string_view name) const noexcept {
     return counters_.value(name);
@@ -157,7 +148,6 @@ class StatSet {
  private:
   StatSlots<std::int64_t> counters_{};
   StatSlots<Time> phases_{};
-  MetricsSink* sink_ = nullptr;
 };
 
 /// RAII-style phase timer against the virtual clock.

@@ -5,7 +5,10 @@
 // constants readable, e.g. `2 * usec` for a 2 microsecond HCA overhead.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace odcm::sim {
 
@@ -25,5 +28,15 @@ constexpr double to_seconds(Time t) { return static_cast<double>(t) * 1e-9; }
 
 /// Convert virtual time to floating-point microseconds (for reporting).
 constexpr double to_usec(Time t) { return static_cast<double>(t) * 1e-3; }
+
+/// Throw `std::invalid_argument` naming `field` unless `bytes_per_ns` is
+/// finite and positive. A rate divides byte counts into a `Time`, and a
+/// zero, negative or non-finite one has no defined cast to that unsigned
+/// type.
+inline void require_rate(double bytes_per_ns, const std::string& field) {
+  if (!std::isfinite(bytes_per_ns) || bytes_per_ns <= 0) {
+    throw std::invalid_argument(field + " must be finite and > 0");
+  }
+}
 
 }  // namespace odcm::sim

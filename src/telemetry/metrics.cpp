@@ -98,11 +98,6 @@ const Histogram* MetricsRegistry::histogram(std::string_view name) const {
   return it == histograms_.end() ? nullptr : &it->second;
 }
 
-void MetricsRegistry::clear() {
-  counters_.clear();
-  histograms_.clear();
-}
-
 JsonValue MetricsRegistry::to_json() const {
   JsonValue root = JsonValue::object();
   JsonValue counters = JsonValue::object();

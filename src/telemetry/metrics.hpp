@@ -1,14 +1,15 @@
 // Job-wide metrics registry: named counters and log-bucketed virtual-time
 // histograms.
 //
-// The registry is the single sink behind every instrumentation surface in
-// the runtime: `sim::StatSet` (per-PE counters and phase times) and the PMI
-// layer forward through `sim::MetricsSink`, the protocol stream feeds it via
+// `Telemetry::finish` folds the job's `sim::StatSet`s in once: each counter
+// summed over PEs, and each phase as one histogram sample per PE that
+// touched it (that PE's total). The protocol stream feeds the event-derived
+// `conn/*`, `reg/*` and `bulk/*` names through
 // `telemetry::ConnectionTimeline`, and benches record into it directly. All
 // state is deterministic — identical simulation runs produce identical
 // registries — and everything operates on *virtual* time, so observation
-// never perturbs the simulated clock. Telemetry off means no registry is
-// attached as a sink (`Telemetry(false)`), so nothing records at all.
+// never perturbs the simulated clock. A disabled session
+// (`Telemetry(false)`) records nothing at all.
 #pragma once
 
 #include <array>
@@ -18,8 +19,6 @@
 #include <string_view>
 #include <vector>
 
-#include "sim/metrics_sink.hpp"
-#include "sim/time.hpp"
 #include "telemetry/json.hpp"
 
 namespace odcm::telemetry {
@@ -84,20 +83,12 @@ class Histogram {
 
 /// Named counters / histograms, keyed by string. Lookup maps are ordered so
 /// every export iterates deterministically.
-class MetricsRegistry : public sim::MetricsSink {
+class MetricsRegistry {
  public:
   /// Move counter `name` by `delta`.
   void add(std::string_view name, std::int64_t delta = 1);
   /// Record one duration/magnitude sample into histogram `name`.
   void observe(std::string_view name, std::uint64_t value);
-
-  // sim::MetricsSink — the delegation seam for StatSet / PMI.
-  void on_counter(std::string_view name, std::int64_t delta) override {
-    add(name, delta);
-  }
-  void on_duration(std::string_view name, sim::Time dt) override {
-    observe(name, dt);
-  }
 
   [[nodiscard]] std::int64_t counter(std::string_view name) const;
   /// nullptr when no sample was ever recorded under `name`.
@@ -111,8 +102,6 @@ class MetricsRegistry : public sim::MetricsSink {
   histograms() const noexcept {
     return histograms_;
   }
-
-  void clear();
 
   /// Full registry export:
   /// {counters:{}, histograms:{name: summary}}.

@@ -9,16 +9,16 @@
 //   tel.finish(engine.now());
 //   telemetry::export_chrome_trace(out, tel.timeline(), job.ranks());
 //
-// `attach` fans the three existing instrumentation surfaces into the
-// session: every conduit's `sim::StatSet` gets the registry as its live
-// sink, the PMI job manager reports out-of-band exchange spans, and the
-// `ConnectionTimeline` joins the protocol observer list. All hooks are
-// observation-only — no simulation event is ever scheduled on behalf of
-// telemetry — so an attached run's virtual times are bit-identical to a
-// detached one's.
+// `attach` adds the `ConnectionTimeline` to the job's protocol observers;
+// that is the only hook. `finish` then folds the job's counters into the
+// registry, once: every conduit `sim::StatSet` counter and the PMI job
+// manager's `pmi/...` counters are summed under their own names, and every
+// phase becomes a histogram with one sample per PE that touched it, that
+// PE's total. Observation never schedules a simulation event, so an
+// attached run's virtual times are bit-identical to a detached one's.
 //
-// A disabled session (`Telemetry(false)`) attaches nothing at all; this is
-// the zero-cost-off switch the benches use.
+// A disabled session (`Telemetry(false)`) attaches nothing and folds
+// nothing; this is the zero-cost-off switch the benches use.
 #pragma once
 
 #include "core/conduit.hpp"
@@ -44,39 +44,49 @@ class Telemetry {
     return timeline_;
   }
 
-  /// Hook every observation surface of `job` into this session. No-op when
-  /// the session is disabled. The session must outlive the job run (or be
-  /// detached first).
+  /// Add the timeline to `job`'s protocol observers. No-op when the session
+  /// is disabled. The session must outlive the job run (or be detached
+  /// first).
   void attach(core::ConduitJob& job) {
     if (!enabled_ || job_ != nullptr) return;
     job_ = &job;
     job.add_observer(&timeline_);
-    for (core::RankId r = 0; r < job.ranks(); ++r) {
-      job.conduit(r).stats().set_sink(&registry_);
-    }
-    job.pmi().set_metrics_sink(&registry_);
   }
 
   /// Undo attach(); safe to call repeatedly.
   void detach() {
     if (job_ == nullptr) return;
     job_->remove_observer(&timeline_);
-    for (core::RankId r = 0; r < job_->ranks(); ++r) {
-      job_->conduit(r).stats().set_sink(nullptr);
-    }
-    job_->pmi().set_metrics_sink(nullptr);
     job_ = nullptr;
   }
 
-  /// Close still-open timeline intervals at virtual time `now` (call after
-  /// the engine ran, before exporting).
-  void finish(sim::Time now) { timeline_.finish(now); }
+  /// Close still-open timeline intervals at virtual time `now` and fold the
+  /// attached job's counters and phases into the registry (call after the
+  /// engine ran, before exporting). The fold happens on the first call only.
+  void finish(sim::Time now) {
+    timeline_.finish(now);
+    if (job_ == nullptr || folded_) return;
+    folded_ = true;
+    const sim::StatSet total = job_->aggregate_stats();
+    for (const auto& [name, value] : total.counters()) {
+      registry_.add(name, value);
+    }
+    for (core::RankId r = 0; r < job_->ranks(); ++r) {
+      for (const auto& [name, pe_total] : job_->conduit(r).stats().phases()) {
+        registry_.observe(name, pe_total);
+      }
+    }
+    for (const auto& [name, value] : job_->pmi().stats().counters()) {
+      registry_.add(name, value);
+    }
+  }
 
  private:
   bool enabled_;
   MetricsRegistry registry_;
   ConnectionTimeline timeline_;
   core::ConduitJob* job_ = nullptr;
+  bool folded_ = false;
 };
 
 }  // namespace odcm::telemetry

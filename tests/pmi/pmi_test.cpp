@@ -2,7 +2,6 @@
 // PMIX extensions.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -288,15 +287,6 @@ TEST(Costs, OobBytesTracked) {
   EXPECT_GT(env.manager->oob_bytes_moved(), 0u);
 }
 
-/// Sums every counter a PMI call reports.
-struct CounterSink final : sim::MetricsSink {
-  void on_counter(std::string_view name, std::int64_t delta) override {
-    counters[std::string(name)] += delta;
-  }
-  void on_duration(std::string_view, sim::Time) override {}
-  std::map<std::string, std::int64_t> counters;
-};
-
 /// What one 8-rank exchange of `value_bytes`-byte values costs, and how
 /// many value bytes came back out of the store.
 struct Exchange {
@@ -310,8 +300,6 @@ struct Exchange {
 Exchange exchange(bool blocking, bool charge_only, std::size_t value_bytes) {
   constexpr std::uint32_t kRanks = 8;
   Env env(kRanks, 2);
-  CounterSink sink;
-  env.manager->set_metrics_sink(&sink);
   Exchange out;
   out.staged.resize(kRanks);
   out.done.resize(kRanks);
@@ -349,7 +337,7 @@ Exchange exchange(bool blocking, bool charge_only, std::size_t value_bytes) {
     }(env, out, rank, blocking, charge_only, value_bytes));
   }
   env.engine.run();
-  out.put_bytes = sink.counters["pmi/put_bytes"];
+  out.put_bytes = env.manager->stats().counter("pmi/put_bytes");
   out.oob_bytes = env.manager->oob_bytes_moved();
   return out;
 }
@@ -369,6 +357,28 @@ TEST(ChargeOnly, CostsWhatTheValueWouldButStoresNoBytes) {
   }
   EXPECT_EQ(exchange(true, true, kBytes).put_bytes,
             8 * static_cast<std::int64_t>(kBytes + 7));
+}
+
+TEST(JobManager, CountsCallsWithNoTelemetryAttached) {
+  Env env(2);
+  env.engine.spawn([](Env& e) -> sim::Task<> {
+    co_await e.manager->client(0).put("k", "value");
+    co_await e.manager->client(0).fence();
+    (void)co_await e.manager->client(0).get("k");
+    (void)co_await e.manager->client(0).get("missing");
+  }(env));
+  env.engine.spawn([](Env& e) -> sim::Task<> {
+    co_await e.manager->client(1).fence();
+  }(env));
+  env.engine.run();
+  const sim::StatSet& stats = env.manager->stats();
+  EXPECT_EQ(stats.counter("pmi/puts"), 1);
+  EXPECT_EQ(stats.counter("pmi/put_bytes"), 6);  // "k" + "value"
+  EXPECT_EQ(stats.counter("pmi/gets"), 2);
+  EXPECT_EQ(stats.counter("pmi/fences_started"), 2);
+  EXPECT_EQ(static_cast<std::uint64_t>(stats.counter("pmi/oob_bytes")),
+            env.manager->oob_bytes_moved());
+  EXPECT_GT(env.manager->oob_bytes_moved(), 0u);
 }
 
 TEST(Determinism, IdenticalRunsIdenticalTimes) {

@@ -1,5 +1,7 @@
 // ShmemJobConfig validation: every rejected knob throws std::invalid_argument
 // naming the field when the job is built, before any simulated time passes.
+// The fabric and PMI rates are checked where the job builds its `Fabric` and
+// `JobManager`.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -45,6 +47,21 @@ void expect_runs(const ShmemJobConfig& config) {
   }));
 }
 
+/// Expects a zero, negative or non-finite value of the rate that `rate`
+/// selects rejected naming `field`, and a small positive one run.
+void expect_rate_checked(
+    const std::function<double&(ShmemJobConfig&)>& rate,
+    const std::string& field) {
+  ShmemJobConfig config = small_job(4, 2);
+  for (double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    rate(config) = bad;
+    expect_rejected(config, field);
+  }
+  rate(config) = 0.5;
+  expect_runs(config);
+}
+
 ShmemJobConfig on_demand_reg() {
   ShmemJobConfig config = small_job(4, 2);
   config.shmem.registration = RegistrationMode::kOnDemand;
@@ -62,14 +79,51 @@ TEST(ShmemConfig, ZeroWaitPollIntervalRejected) {
 }
 
 TEST(ShmemConfig, NonPositiveOrNonFiniteLocalBandwidthRejected) {
-  ShmemJobConfig config = small_job(4, 2);
-  for (double bad : {0.0, -1.0, std::numeric_limits<double>::infinity(),
-                     std::numeric_limits<double>::quiet_NaN()}) {
-    config.shmem.local_bytes_per_ns = bad;
-    expect_rejected(config, "shmem.local_bytes_per_ns");
-  }
-  config.shmem.local_bytes_per_ns = 0.5;
-  expect_runs(config);
+  expect_rate_checked(
+      [](ShmemJobConfig& c) -> double& { return c.shmem.local_bytes_per_ns; },
+      "shmem.local_bytes_per_ns");
+}
+
+TEST(ShmemConfig, NonPositiveOrNonFiniteWireBandwidthRejected) {
+  expect_rate_checked(
+      [](ShmemJobConfig& c) -> double& { return c.job.fabric.bytes_per_ns; },
+      "fabric.bytes_per_ns");
+}
+
+TEST(ShmemConfig, NonPositiveOrNonFiniteLoopbackBandwidthRejected) {
+  expect_rate_checked(
+      [](ShmemJobConfig& c) -> double& {
+        return c.job.fabric.loopback_bytes_per_ns;
+      },
+      "fabric.loopback_bytes_per_ns");
+}
+
+TEST(ShmemConfig, NonPositiveOrNonFiniteShmBandwidthRejected) {
+  expect_rate_checked(
+      [](ShmemJobConfig& c) -> double& {
+        return c.job.fabric.shm_bytes_per_ns;
+      },
+      "fabric.shm_bytes_per_ns");
+}
+
+TEST(ShmemConfig, NonPositiveOrNonFiniteEagerCopyBandwidthRejected) {
+  expect_rate_checked(
+      [](ShmemJobConfig& c) -> double& {
+        return c.job.fabric.eager_copy_bytes_per_ns;
+      },
+      "fabric.eager_copy_bytes_per_ns");
+}
+
+TEST(ShmemConfig, NonPositiveOrNonFinitePmiIpcBandwidthRejected) {
+  expect_rate_checked(
+      [](ShmemJobConfig& c) -> double& { return c.job.pmi.ipc_bytes_per_ns; },
+      "pmi.ipc_bytes_per_ns");
+}
+
+TEST(ShmemConfig, NonPositiveOrNonFinitePmiOobBandwidthRejected) {
+  expect_rate_checked(
+      [](ShmemJobConfig& c) -> double& { return c.job.pmi.oob_bytes_per_ns; },
+      "pmi.oob_bytes_per_ns");
 }
 
 TEST(ShmemConfig, BadRegChunkBytesRejectedUnderOnDemandRegistration) {

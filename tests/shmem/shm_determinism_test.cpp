@@ -50,6 +50,7 @@ RunOutput run_hello_shm() {
   env.run([](ShmemPe& pe) -> sim::Task<> {
     return apps::hello_pe(pe, apps::HelloParams{});
   });
+  session.finish(env.engine.now());
 
   RunOutput out;
   std::ostringstream dump;

@@ -6,25 +6,12 @@
 #include <vector>
 
 #include "sim/engine.hpp"
-#include "sim/metrics_sink.hpp"
 #include "sim/stat_names.hpp"
 #include "sim/stats.hpp"
 #include "sim/task.hpp"
 
 namespace odcm::sim {
 namespace {
-
-/// Records every forwarded event for inspection.
-struct RecordingSink : MetricsSink {
-  void on_counter(std::string_view name, std::int64_t delta) override {
-    counters.emplace_back(std::string(name), delta);
-  }
-  void on_duration(std::string_view name, Time dt) override {
-    durations.emplace_back(std::string(name), dt);
-  }
-  std::vector<std::pair<std::string, std::int64_t>> counters;
-  std::vector<std::pair<std::string, Time>> durations;
-};
 
 TEST(StatSet, CountersDefaultToZero) {
   StatSet stats;
@@ -67,23 +54,6 @@ TEST(StatSet, ClearResets) {
   stats.clear();
   EXPECT_TRUE(stats.counters().empty());
   EXPECT_TRUE(stats.phases().empty());
-}
-
-TEST(StatSet, ForwardsToSink) {
-  StatSet stats;
-  RecordingSink sink;
-  stats.set_sink(&sink);
-  stats.add("qp_created_rc", 2);
-  stats.add_time("connection_setup", 150);
-  stats.set_sink(nullptr);
-  stats.add("qp_created_rc");  // not forwarded once detached
-  ASSERT_EQ(sink.counters.size(), 1u);
-  EXPECT_EQ(sink.counters[0], (std::pair<std::string, std::int64_t>{
-                                  "qp_created_rc", 2}));
-  ASSERT_EQ(sink.durations.size(), 1u);
-  EXPECT_EQ(sink.durations[0].second, 150u);
-  // Local accounting is unaffected by the sink.
-  EXPECT_EQ(stats.counter("qp_created_rc"), 3);
 }
 
 TEST(StatSet, DeltaZeroTouchMakesTheNameAppear) {
@@ -149,39 +119,6 @@ TEST(StatSet, MergeKeepsDeltaZeroTouchesAndClearForgetsThem) {
   EXPECT_TRUE(a.phases().empty());
   a.add("am_sent");  // usable again after clear
   EXPECT_EQ(a.counter("am_sent"), 1);
-}
-
-TEST(StatSet, SinkSeesEveryObservationAsTheTableName) {
-  StatSet stats;
-  RecordingSink sink;
-  std::vector<const char*> seen;
-  struct PointerSink : MetricsSink {
-    std::vector<const char*>* out;
-    void on_counter(std::string_view name, std::int64_t) override {
-      out->push_back(name.data());
-    }
-    void on_duration(std::string_view name, Time) override {
-      out->push_back(name.data());
-    }
-  } pointers;
-  pointers.out = &seen;
-  stats.set_sink(&sink);
-  stats.add("am_sent", 0);
-  stats.add("am_sent");
-  stats.add_time("pmi_wait", 4);
-  stats.add("mpi_send", -1);
-  EXPECT_EQ(sink.counters,
-            (std::vector<std::pair<std::string, std::int64_t>>{
-                {"am_sent", 0}, {"am_sent", 1}, {"mpi_send", -1}}));
-  EXPECT_EQ(sink.durations,
-            (std::vector<std::pair<std::string, Time>>{{"pmi_wait", 4}}));
-  // The sink is handed the interned table entry, not a copy.
-  stats.set_sink(&pointers);
-  stats.add("mpi_send");
-  stats.add_time("pmi_wait", 1);
-  EXPECT_EQ(seen, (std::vector<const char*>{
-                      kStatNames[StatName("mpi_send").id()].data(),
-                      kStatNames[StatName("pmi_wait").id()].data()}));
 }
 
 TEST(StatName, InternsEveryTableEntryAtItsIndex) {

@@ -119,10 +119,10 @@ TEST(TelemetryIntegration, RegistryCapturesTheWholeJob) {
   });
   tel.finish(engine.now());
   const MetricsRegistry& m = tel.metrics();
-  // Every PE's conduit stats fan into the one registry...
+  // Every PE's conduit stats fold into the one registry...
   EXPECT_EQ(m.counter("connections_established"),
             static_cast<std::int64_t>(tel.timeline().handshakes().size()));
-  // ...the PMI layer reports OOB spans...
+  // ...so do the PMI job manager's counters...
   EXPECT_GT(m.counter("pmi/oob_bytes"), 0);
   // ...and the protocol stream feeds the handshake histogram.
   ASSERT_NE(m.histogram("conn/handshake_time"), nullptr);
